@@ -7,9 +7,10 @@ bottom classify an algebra by properties of its multiplication traces;
 they all reduce to exact rational linear algebra.
 """
 
+import math
 from fractions import Fraction
 
-from .errors import InvalidInputError
+from .errors import InternalError, InvalidInputError
 from .linalg import (
     as_fraction_matrix,
     det,
@@ -286,18 +287,12 @@ def positivity_witness(A, inv):
     rhs = tuple(Ts[k - 1][j] for j in range(k - 1))
     lam = solve_rational(transpose(M), rhs)
     coeffs = [-l for l in lam] + [Fraction(1)] + [Fraction(0)] * (d - k)
-    scale = 1
-    for cf in coeffs:
-        scale = scale * cf.denominator // _gcd(scale, cf.denominator)
+    scale = math.lcm(*(cf.denominator for cf in coeffs))
     witness = tuple(int(cf * scale) for cf in coeffs)
     value = sum(
         witness[i] * witness[j] * Ts[i][j] for i in range(d) for j in range(d)
     )
-    assert value <= 0
+    if value > 0:
+        raise InternalError(
+            "positivity witness has value %s > 0; this is a bug" % value)
     return witness
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

@@ -23,8 +23,10 @@ from .errors import (
     LatdecError,
     NoSolutionError,
     NotPositiveDefiniteError,
+    RankTooLargeError,
 )
 from .idempotents import decompose_unity
+from .lattice import DECOMPOSE_MAX_RANK, resolve_max_rank
 from .linalg import (
     as_fraction_matrix,
     first_nonpositive_minor,
@@ -38,7 +40,7 @@ from .linalg import (
     mat_mul,
     mat_neg,
     mat_vec,
-    solve_rational,
+    solve_rational_columns,
     transpose,
 )
 
@@ -142,15 +144,21 @@ def _commutant_matrix_basis(j):
 def _endomorphism_order_with_basis(H):
     basis = _commutant_matrix_basis(H.j)
     d = len(basis)
-    N = H.rank
-    stacked = transpose(tuple(_vec(B) for B in basis))
+    psi_f = as_fraction_matrix(H.psi)
+    psi_inv = inverse(psi_f)
+    # d^2 structure constants, the unit and d adjoints, one elimination
+    targets = [mat_mul(B1, B2) for B1 in basis for B2 in basis]
+    targets.append(identity(H.rank))
+    targets += [mat_mul(mat_mul(psi_inv, transpose(as_fraction_matrix(B))), psi_f)
+                for B in basis]
+    try:
+        coords = solve_rational_columns(
+            transpose(tuple(_vec(B) for B in basis)), [_vec(M) for M in targets])
+    except NoSolutionError:
+        raise InternalError(
+            "matrix expected inside the endomorphism algebra is not there")
 
-    def integral_coords(M, error_message):
-        try:
-            x = solve_rational(stacked, _vec(M))
-        except NoSolutionError:
-            raise InternalError(
-                "matrix expected inside the endomorphism algebra is not there")
+    def integral_coords(x, error_message):
         if any(c.denominator != 1 for c in x):
             raise error_message()
         return tuple(int(c) for c in x)
@@ -160,33 +168,18 @@ def _endomorphism_order_with_basis(H):
             "non-integral coordinates against a saturated basis; this is a bug")
 
     structure = tuple(
-        tuple(
-            integral_coords(
-                tuple(tuple(sum(a * b for a, b in zip(row, col))
-                            for col in zip(*basis[jj]))
-                      for row in basis[ii]),
-                bug)
-            for jj in range(d)
-        )
+        tuple(integral_coords(coords[ii * d + jj], bug) for jj in range(d))
         for ii in range(d)
     )
-    one = integral_coords(tuple(tuple(int(i == j) for j in range(N))
-                                for i in range(N)), bug)
+    one = integral_coords(coords[d * d], bug)
     algebra = FiniteDimAlgebra(structure, one)
-    psi_f = as_fraction_matrix(H.psi)
-    psi_inv = inverse(psi_f)
 
     def rosati_error():
         return InvalidHodgeStructureError(
             "psi: the adjoint involution does not preserve the "
             "endomorphism order")
 
-    columns = [
-        integral_coords(
-            mat_mul(mat_mul(psi_inv, transpose(as_fraction_matrix(B))), psi_f),
-            rosati_error)
-        for B in basis
-    ]
+    columns = [integral_coords(x, rosati_error) for x in coords[d * d + 1:]]
     S = tuple(tuple(columns[c][r] for c in range(d)) for r in range(d))
     involution = Involution(algebra, S)
     order = InvolutiveOrder(algebra, involution)
@@ -211,13 +204,11 @@ def _restrict_structure(H, rows):
               for b in range(len(rows)))
         for a in range(len(rows))
     )
-    Mt = transpose(rows_f)
-    cols = []
-    for r in rows:
-        try:
-            cols.append(solve_rational(Mt, mat_vec(H.j, r)))
-        except NoSolutionError:
-            raise InternalError("block span is not j-stable; this is a bug")
+    try:
+        cols = solve_rational_columns(
+            transpose(rows_f), [mat_vec(H.j, r) for r in rows])
+    except NoSolutionError:
+        raise InternalError("block span is not j-stable; this is a bug")
     j_r = tuple(tuple(cols[c][r] for c in range(len(rows)))
                 for r in range(len(rows)))
     return j_r, psi_r
@@ -226,7 +217,12 @@ def _restrict_structure(H, rows):
 def decompose_hodge(H, max_rank=None):
     """The unique splitting into indecomposable polarised sub-structures."""
     order, basis = _endomorphism_order_with_basis(H)
-    idems = decompose_unity(order, max_rank).idems
+    limit = resolve_max_rank(DECOMPOSE_MAX_RANK, max_rank)
+    if order.dim > limit:
+        raise RankTooLargeError(
+            "endomorphism order of dimension %d exceeds decomposition guard %d "
+            "(set LATDEC_MAX_RANK to override)" % (order.dim, limit))
+    idems = decompose_unity(order, limit).idems
     N = H.rank
     blocks = []
     for v in idems:

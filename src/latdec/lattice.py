@@ -13,9 +13,11 @@ family of pairwise orthogonal indecomposable sublattices:
      test a finite search.  Every element of S is a sum of primitives of
      no larger norm, hence P still generates.
   4. Group P into connected components under "pairing is nonzero".
-  5. Span each component over Z (HNF bases).
-  6. Merge spans while any two fail to be orthogonal.
-  7. Assert the blocks stack to a unimodular basis, sort canonically.
+  5. Span each component over Z (HNF bases).  The spans are already
+     pairwise orthogonal: primitives in different components pair to
+     zero in both orders (the pairing is symmetric, or Hermitian with
+     f(y, x) = f(x, y)*), and the pairing is Z-bilinear.
+  6. Assert the blocks stack to a unimodular basis, sort canonically.
 
 The same pipeline serves the Hermitian module case; only the pairing
 whose vanishing defines orthogonality changes, which is why the workers
@@ -208,24 +210,6 @@ def decompose_pipeline(gram, pair_is_zero, max_rank=None):
 
     components = _connected_components(primitives, related)
     spans = [hnf_basis(comp) for comp in components]
-
-    def orthogonal(a, b):
-        return all(pair_is_zero(r, s) for r in a for s in b)
-
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(spans)):
-            for j in range(i + 1, len(spans)):
-                if not orthogonal(spans[i], spans[j]):
-                    joined = hnf_basis(spans[i] + spans[j])
-                    spans = [s for k, s in enumerate(spans) if k not in (i, j)]
-                    spans.append(joined)
-                    merged = True
-                    break
-            if merged:
-                break
-
     spans.sort(key=lambda s: (len(s), tuple(x for row in s for x in row)))
     stacked = tuple(row for s in spans for row in s)
     if len(stacked) != n or not is_unimodular(stacked):

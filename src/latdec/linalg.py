@@ -6,6 +6,11 @@ floating point appears in any code path, including the short-vector
 enumeration bounds.  Vectors are plain coordinate tuples.  Row convention
 throughout: a basis is a matrix whose rows are the basis vectors, and a
 change of basis acts as G' = U * G * U^T.
+
+All exact solving over Q goes through one fraction-free elimination,
+_echelon (Bareiss, Math. Comp. 22 (1968)): det, inverse, rational_rank,
+solve_rational, solve_rational_columns (many right-hand sides against
+one matrix) and first_nonpositive_minor are thin readings of it.
 """
 
 import math
@@ -90,47 +95,103 @@ def is_symmetric(M):
     )
 
 
-def det(M):
-    """Exact determinant via rational Gaussian elimination."""
-    n = len(M)
-    if n == 0:
-        return Fraction(1)
-    A = [[Fraction(x) for x in row] for row in M]
-    sign = 1
-    result = Fraction(1)
+def _echelon(M, B=()):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of [M | B] over Z.
+
+    B holds right-hand-side columns of length len(M).  Each row of
+    [M | B] is first scaled by the lcm of its denominators; scale is the
+    product of those factors.  Rows are never moved: the pivot in column
+    c is the first row not yet used that is nonzero there.  Every step
+    replaces each other row by (pivot * row - row[c] * pivot_row) // prev,
+    an exact division by the previous pivot (Sylvester's identity), so
+    all entries stay integral minors of the scaled matrix.
+
+    Returns (A, pivots, scale).  pivots lists (row, column, value) in
+    order, value being the pivot as it was chosen.  While pivot k sits
+    at row k and column k, its value is the leading minor D_(k+1) times
+    the positive scales of rows 0..k.  At the end every pivot entry of A
+    equals the last pivot, and A is zero off the pivots in the pivot
+    columns and in every non-pivot row of the M part.
+    """
+    m = len(M)
+    n = len(M[0]) if m else 0
+    A = []
+    scale = 1
+    for i, row in enumerate(M):
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+               for x in (*row, *(b[i] for b in B))]
+        s = math.lcm(*(x.denominator for x in row))
+        scale *= s
+        A.append([x.numerator * (s // x.denominator) for x in row])
+    pivots = []
+    free = list(range(m))
+    prev = 1
     for c in range(n):
-        p = next((i for i in range(c, n) if A[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            A[c], A[p] = A[p], A[c]
-            sign = -sign
-        result *= A[c][c]
-        inv = A[c][c]
-        for i in range(c + 1, n):
-            if A[i][c]:
-                f = A[i][c] / inv
-                A[i] = [a - f * b for a, b in zip(A[i], A[c])]
-    return sign * result
+        r = next((i for i in free if A[i][c]), None)
+        if r is None:
+            continue
+        free.remove(r)
+        piv = A[r]
+        pv = piv[c]
+        pivots.append((r, c, pv))
+        for i in range(m):
+            if i != r:
+                f = A[i][c]
+                A[i] = [(pv * a - f * b) // prev for a, b in zip(A[i], piv)]
+        prev = pv
+        if not free:
+            break
+    return A, pivots, scale
+
+
+def det(M):
+    """Exact determinant: the last Bareiss pivot, signed and unscaled."""
+    _, pivots, scale = _echelon(M)
+    if len(pivots) < len(M):
+        return Fraction(0)
+    rows = [i for i, _, _ in pivots]
+    inversions = sum(a > b for k, a in enumerate(rows) for b in rows[k + 1:])
+    last = pivots[-1][2] if pivots else 1
+    return Fraction((-1) ** inversions * last, scale)
+
+
+def solve_rational_columns(M, bs):
+    """solve_rational(M, b) for every b in bs, from one elimination.
+
+    Returns a tuple of solutions in the order of bs; raises
+    NoSolutionError when any of the systems is inconsistent.
+    """
+    n = len(M[0]) if M else 0
+    A, pivots, _ = _echelon(M, bs)
+    used = {i for i, _, _ in pivots}
+    if any(any(row[n:]) for i, row in enumerate(A) if i not in used):
+        raise NoSolutionError("inconsistent linear system")
+    solutions = []
+    for t in range(n, n + len(bs)):
+        x = [Fraction(0)] * n
+        for i, c, _ in pivots:
+            x[c] = Fraction(A[i][t], A[i][c])
+        solutions.append(tuple(x))
+    return tuple(solutions)
+
+
+def solve_rational(M, b):
+    """One exact solution x of M*x = b (x a column), free variables set to 0.
+
+    Free variables at 0 make the answer unique: the pivot columns are
+    the columns not in the span of the columns before them.  Raises
+    NoSolutionError when the system is inconsistent.
+    """
+    return solve_rational_columns(M, (b,))[0]
 
 
 def inverse(M):
     """Exact inverse of a square rational matrix."""
-    n = len(M)
-    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(M)]
-    for c in range(n):
-        p = next((i for i in range(c, n) if A[i][c] != 0), None)
-        if p is None:
-            raise InvalidInputError("matrix is singular")
-        A[c], A[p] = A[p], A[c]
-        pv = A[c][c]
-        A[c] = [x / pv for x in A[c]]
-        for i in range(n):
-            if i != c and A[i][c]:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[c])]
-    return tuple(tuple(row[n:]) for row in A)
+    try:
+        columns = solve_rational_columns(M, identity(len(M)))
+    except NoSolutionError:
+        raise InvalidInputError("matrix is singular")
+    return transpose(columns)
 
 
 def is_unimodular(M):
@@ -144,17 +205,17 @@ def is_unimodular(M):
     return abs(det(M)) == 1
 
 
-def leading_principal_minors(M):
-    n = len(M)
-    return [det([row[: k + 1] for row in M[: k + 1]]) for k in range(n)]
-
-
 def first_nonpositive_minor(M):
-    """1-based index of the first non-positive leading minor, or None."""
-    for k, m in enumerate(leading_principal_minors(M), start=1):
-        if m <= 0:
-            return k
-    return None
+    """1-based index of the first non-positive leading minor, or None.
+
+    Read off the Bareiss pivots: up to the first zero leading minor, the
+    elimination takes pivot k at row k and column k, with the sign of D_k.
+    """
+    _, pivots, _ = _echelon(M)
+    for k, (i, c, value) in enumerate(pivots):
+        if i != k or c != k or value <= 0:
+            return k + 1
+    return len(pivots) + 1 if len(pivots) < len(M) else None
 
 
 def is_positive_definite(M):
@@ -162,59 +223,8 @@ def is_positive_definite(M):
 
 
 def rational_rank(M):
-    """Row rank over Q by Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in M]
-    if not rows:
-        return 0
-    rank = 0
-    for c in range(len(rows[0])):
-        p = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[rank], rows[p] = rows[p], rows[rank]
-        pivot = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][c]:
-                f = rows[i][c] / pivot[c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pivot)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def solve_rational(M, b):
-    """One exact solution x of M*x = b (x a column), free variables set to 0.
-
-    Raises NoSolutionError when the system is inconsistent.
-    """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    A = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(M)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        p = next((i for i in range(r, m) if A[i][c] != 0), None)
-        if p is None:
-            continue
-        A[r], A[p] = A[p], A[r]
-        pv = A[r][c]
-        A[r] = [x / pv for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, m):
-        if A[i][n] != 0:
-            raise NoSolutionError("inconsistent linear system")
-    x = [Fraction(0)] * n
-    for i, c in pivots:
-        x[c] = A[i][n]
-    return tuple(x)
+    """Row rank over Q: the number of Bareiss pivots."""
+    return len(_echelon(M)[1])
 
 
 def hnf(M):

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own enumeration and
 reduction code paths: short vectors come from exhaustive box searches,
 group orders from explicit closure, reducedness from a direct check of
-the defining inequalities.
+the defining inequalities, determinants, ranks and solutions from the
+permutation expansion and Cramer's rule.
 """
 
 import itertools
@@ -28,6 +29,61 @@ def _box_radii(G, bound):
         assert r >= 0
         radii.append(math.isqrt(r.numerator // r.denominator))
     return radii
+
+
+def leibniz_det(M):
+    """Determinant by the permutation expansion, exact in Fractions."""
+    n = len(M)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction((-1) ** inversions)
+        for i, p in enumerate(perm):
+            term *= M[i][p]
+        total += term
+    return total
+
+
+def leading_minors(M):
+    """D_1..D_n, each by the permutation expansion."""
+    return [leibniz_det([row[:k] for row in M[:k]]) for k in range(1, len(M) + 1)]
+
+
+def minor_rank(M):
+    """Size of the largest nonzero minor."""
+    m = len(M)
+    n = len(M[0]) if m else 0
+    for k in range(min(m, n), 0, -1):
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.combinations(range(n), k):
+                if leibniz_det([[M[i][j] for j in cols] for i in rows]):
+                    return k
+    return 0
+
+
+def cramer_solve(M, b):
+    """The solution of M x = b with free variables 0, or None if inconsistent.
+
+    The pivot columns are those that raise the rank of the column prefix;
+    x on them solves a nonsingular square subsystem by Cramer's rule.
+    """
+    m = len(M)
+    n = len(M[0]) if m else 0
+    r = minor_rank(M)
+    if minor_rank([tuple(row) + (b[i],) for i, row in enumerate(M)]) != r:
+        return None
+    cols = [c for c in range(n)
+            if minor_rank([row[:c + 1] for row in M]) > minor_rank([row[:c] for row in M])]
+    rows = next(R for R in itertools.combinations(range(m), r)
+                if leibniz_det([[M[i][c] for c in cols] for i in R]))
+    A = [[M[i][c] for c in cols] for i in rows]
+    D = leibniz_det(A)
+    x = [Fraction(0)] * n
+    for k, c in enumerate(cols):
+        Ak = [[b[i] if kk == k else A[ii][kk] for kk in range(r)]
+              for ii, i in enumerate(rows)]
+        x[c] = leibniz_det(Ak) / D
+    return tuple(x)
 
 
 def canonical(v):

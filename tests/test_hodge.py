@@ -224,7 +224,8 @@ class TestDecompose:
         assert decompose_hodge(product_structure()) == decompose_hodge(product_structure())
 
     def test_rank_guard_applies_to_the_order(self):
-        with pytest.raises(RankTooLargeError):
+        with pytest.raises(RankTooLargeError,
+                           match="endomorphism order of dimension 8 exceeds decomposition guard 4"):
             decompose_hodge(square_structure(), max_rank=4)
 
     def test_invalid_adjoint_propagates(self):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from latdec.errors import NoSolutionError, NotPositiveDefiniteError
+from latdec.errors import InvalidInputError, NoSolutionError, NotPositiveDefiniteError
 from latdec.linalg import (
     as_fraction_matrix,
     det,
@@ -19,12 +19,23 @@ from latdec.linalg import (
     lll_reduce,
     mat_mul,
     row_span_contains,
+    rational_rank,
     solve_rational,
+    solve_rational_columns,
     transpose,
     _gso,
 )
 
-from oracles import brute_short_vectors, is_lll_reduced, random_spd_gram, random_unimodular
+from oracles import (
+    brute_short_vectors,
+    cramer_solve,
+    is_lll_reduced,
+    leading_minors,
+    leibniz_det,
+    minor_rank,
+    random_spd_gram,
+    random_unimodular,
+)
 
 A2 = ((2, 1), (1, 2))
 
@@ -216,3 +227,97 @@ class TestPositiveDefiniteness:
             G = random_spd_gram(rng, n)
             Gf = as_fraction_matrix(G)
             assert mat_mul(Gf, inverse(Gf)) == as_fraction_matrix(identity(n))
+
+
+def random_rational_matrix(rng, m, n, rank=None):
+    """Random rational m x n matrix; with rank given, a product of that rank."""
+    def q():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+
+    if rank is None:
+        return tuple(tuple(q() for _ in range(n)) for _ in range(m))
+    L = [[q() for _ in range(rank)] for _ in range(m)]
+    R = [[q() for _ in range(n)] for _ in range(rank)]
+    return tuple(tuple(sum(L[i][k] * R[k][j] for k in range(rank)) for j in range(n))
+                 for i in range(m))
+
+
+class TestEliminationAgainstOracle:
+    """The Bareiss routine against the permutation expansion and Cramer's rule."""
+
+    def square_cases(self, seed):
+        rng = random.Random(seed)
+        for t in range(120):
+            n = rng.randint(0, 5)
+            kind = t % 3
+            if kind == 0:
+                M = random_rational_matrix(rng, n, n)
+            elif kind == 1:
+                A = random_rational_matrix(rng, n, n)
+                M = tuple(tuple(A[i][j] + A[j][i] for j in range(n)) for i in range(n))
+            else:
+                M = random_rational_matrix(rng, n, n, rank=rng.randint(0, max(n - 1, 0)))
+            yield M
+
+    def test_det_and_first_nonpositive_minor(self):
+        for M in self.square_cases(41):
+            assert det(M) == leibniz_det(M)
+            minors = leading_minors(M)
+            expected = next((k for k, D in enumerate(minors, 1) if D <= 0), None)
+            assert first_nonpositive_minor(M) == expected
+
+    def test_minors_of_positive_definite_and_perturbed(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            G = [list(row) for row in random_spd_gram(rng, n)]
+            i = rng.randrange(n)
+            G[i][i] -= rng.randint(0, 6)
+            minors = leading_minors(G)
+            expected = next((k for k, D in enumerate(minors, 1) if D <= 0), None)
+            assert first_nonpositive_minor(G) == expected
+
+    def test_rank_and_inverse(self):
+        for M in self.square_cases(47):
+            n = len(M)
+            assert rational_rank(M) == minor_rank(M)
+            D = leibniz_det(M)
+            if D == 0:
+                with pytest.raises(InvalidInputError):
+                    inverse(M)
+                continue
+            # adjugate: (M^-1)_ij = (-1)^(i+j) det(M without row j, column i) / det M
+            expected = tuple(
+                tuple((-1) ** (i + j) * leibniz_det(
+                    [[M[r][c] for c in range(n) if c != i] for r in range(n) if r != j]) / D
+                      for j in range(n))
+                for i in range(n))
+            assert inverse(M) == expected
+
+    def test_solve_against_cramer(self):
+        rng = random.Random(59)
+        for t in range(80):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            rank = None if t % 2 else rng.randint(0, min(m, n))
+            M = random_rational_matrix(rng, m, n, rank)
+            assert rational_rank(M) == minor_rank(M)
+            bs = []
+            for k in range(3):
+                if k < 2:  # consistent by construction
+                    x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                    bs.append(tuple(sum(M[i][j] * x[j] for j in range(n)) for i in range(m)))
+                else:  # usually inconsistent when M is rank-deficient
+                    bs.append(tuple(Fraction(rng.randint(-4, 4)) for _ in range(m)))
+            expected = [cramer_solve(M, b) for b in bs]
+            for b, want in zip(bs, expected):
+                if want is None:
+                    with pytest.raises(NoSolutionError):
+                        solve_rational(M, b)
+                else:
+                    assert solve_rational(M, b) == want
+            if None in expected:
+                with pytest.raises(NoSolutionError):
+                    solve_rational_columns(M, bs)
+            else:
+                assert solve_rational_columns(M, bs) == tuple(expected)
+            assert solve_rational_columns(M, bs[:2]) == tuple(expected[:2])
