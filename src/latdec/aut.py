@@ -4,8 +4,9 @@ Isometries are found by backtracking over images of an LLL-reduced
 basis.  Every row of an isometry has the norm of the corresponding
 reduced basis vector, so candidates come from the finite enumerated
 ball of norm up to the largest reduced diagonal; partial inner-product
-constraints prune the search.  Inner products between candidates are
-precomputed once, which keeps the inner loop to table lookups.
+constraints prune the search.  Integer inner products between candidates,
+against both Grams scaled by one common factor, are precomputed once,
+which keeps the inner loop to table lookups.
 
 Everything here is desk-scale on purpose: the rank guard (default 8)
 exists because the full group is enumerated element by element.
@@ -20,9 +21,11 @@ from .lattice import ZLattice, decompose, resolve_max_rank
 from .linalg import (
     as_fraction_matrix,
     det,
+    dot,
     enumerate_short_vectors,
     gram_value,
     hnf_basis,
+    integer_scaled,
     inverse,
     lll_reduce,
     mat_mul,
@@ -99,13 +102,12 @@ def _search(G_from, G_to, find_all):
     for v in enumerate_short_vectors(G_to, bound):
         cands.append(v)
         cands.append(tuple(-x for x in v))
-    ip = [
-        [gram_value(G_to, u, v) for v in cands]
-        for u in cands
-    ]
+    # one scale for both Grams: their denominators may differ
+    _, (F_from, F_to) = integer_scaled((G_from, G_to))
+    ip = [[dot(r, v) for v in cands] for r in (vec_mat(u, F_to) for u in cands)]
     by_level = []
     for i in range(n):
-        target = G_from[i][i]
+        target = F_from[i][i]
         level = tuple(k for k in range(len(cands)) if ip[k][k] == target)
         if not level:
             return []
@@ -117,7 +119,7 @@ def _search(G_from, G_to, find_all):
         for a in by_level[i]:
             ok = True
             for j in range(i):
-                if ip[rows[j]][a] != G_from[i][j]:
+                if ip[rows[j]][a] != F_from[i][j]:
                     ok = False
                     break
             if not ok:

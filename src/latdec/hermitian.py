@@ -4,8 +4,9 @@ The module V is presented as Q^N in a fixed basis with L = Z^N.  The
 algebra acts through one integer matrix per order basis element, and
 the form is tabulated as F[a][b] = f(b_a, b_b), each value a coordinate
 vector in the order basis.  Decomposition runs the shared lattice
-pipeline on the rational trace form; only the orthogonality predicate
-is the finer, algebra-valued one.
+pipeline on the rational trace form; only the pairing whose vanishing
+is orthogonality is the finer, algebra-valued one: the d integer slices
+F_k[a][b] = s * F[a][b][k], built once per module.
 """
 
 from fractions import Fraction
@@ -29,13 +30,14 @@ from .linalg import (
     first_nonpositive_minor,
     hnf_basis,
     identity,
+    integer_scaled,
     is_integral,
     is_symmetric,
     mat_mul,
     mat_vec,
     rational_rank,
     row_span_contains,
-    vec_mat,
+    transpose,
 )
 
 
@@ -75,6 +77,9 @@ class HermitianModule:
                 "form: expected an %dx%d table of length-%d vectors" % (N, N, d))
         self.form = form
         self._validate()
+        _, self.pairing = integer_scaled(
+            tuple(tuple(tuple(entry[k] for entry in row) for row in form)
+                  for k in range(d)))
 
     def _validate(self):
         R = self.order
@@ -212,24 +217,18 @@ def decompose_restriction(module, block_rows, max_rank=None):
     """
     rows = tuple(tuple(int(x) for x in r) for r in block_rows)
     g = restrict_gram(module.trace_gram, rows)
-
-    def pair_is_zero(u, v):
-        return not any(module.form_value(vec_mat(u, rows), vec_mat(v, rows)))
-
-    return decompose_pipeline(g, pair_is_zero, max_rank)
+    forms = tuple(mat_mul(mat_mul(rows, F), transpose(rows)) for F in module.pairing)
+    return decompose_pipeline(g, forms, max_rank)
 
 
 def decompose_hermitian(module, max_rank=None):
     """Unique splitting into pairwise f-orthogonal indecomposable sublattices.
 
     Pipeline bookkeeping (reduction, enumeration bound, primitivity
-    norms) runs on the trace form; zero tests use the full form value.
+    norms) runs on the trace form; zero tests use the full form value,
+    through the module's integer pairing slices.
     """
-
-    def pair_is_zero(u, v):
-        return not any(module.form_value(u, v))
-
-    bases = decompose_pipeline(module.trace_gram, pair_is_zero, max_rank)
+    bases = decompose_pipeline(module.trace_gram, module.pairing, max_rank)
     for basis in bases:
         if not check_o_stability(module, basis):
             raise OStabilityError(

@@ -11,12 +11,10 @@ i spans the block R*i.  decompose_unity computes the finest family.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import check_positive_involution, positivity_witness
 from .errors import (
     InternalError,
     InvalidIdempotentsError,
     NoSolutionError,
-    NotPositiveInvolutionError,
 )
 from .hermitian import decompose_hermitian, decompose_restriction, regular_module
 from .linalg import hnf_basis, is_unimodular, solve_rational, transpose
@@ -74,11 +72,7 @@ def _left_ideal_basis(order, v):
 
 def decompose_unity(order, max_rank=None):
     """The unique finest orthogonal Hermitian idempotent splitting of 1."""
-    if not check_positive_involution(order.algebra, order.involution):
-        raise NotPositiveInvolutionError(
-            "involution is not positive",
-            witness=positivity_witness(order.algebra, order.involution))
-    module = regular_module(order)
+    module = regular_module(order)  # raises NotPositiveInvolutionError
     blocks = decompose_hermitian(module, max_rank)
     try:
         return idempotents_from_blocks(order, [b.basis for b in blocks.blocks])

@@ -4,29 +4,35 @@ A lattice is presented by its Gram matrix alone; vectors are integer
 coordinate tuples.  decompose() splits the lattice into its unique
 family of pairwise orthogonal indecomposable sublattices:
 
-  1. LLL-reduce; let B be the largest diagonal entry of the reduced Gram.
-  2. Enumerate S, the vectors of norm at most B (the reduced basis is in
-     S, so S generates the lattice).
+  1. LLL-reduce once; let B be the largest diagonal entry of the reduced
+     Gram.
+  2. Enumerate S, the vectors of norm at most B, from that reduction
+     (the reduced basis is in S, so S generates the lattice).
   3. Keep the primitive elements P of S: x is primitive when it admits no
      splitting x = y + z into nonzero orthogonal parts.  Norms add along
-     such splittings, so a witness y always lives in +-S, which makes the
-     test a finite search.  Every element of S is a sum of primitives of
-     no larger norm, hence P still generates.
-  4. Group P into connected components under "pairing is nonzero".
+     such splittings, so a witness y lives in +-S with norm(y) < norm(x),
+     a finite search of a few integer dot products per y (_witness_split).
+     Every element of S is a sum of primitives of no larger norm, hence P
+     still generates.
+  4. Group P into connected components under "f(u, v) is nonzero".
   5. Span each component over Z (HNF bases).  The spans are already
      pairwise orthogonal: primitives in different components pair to
      zero in both orders (the pairing is symmetric, or Hermitian with
      f(y, x) = f(x, y)*), and the pairing is Z-bilinear.
   6. Assert the blocks stack to a unimodular basis, sort canonically.
 
-The same pipeline serves the Hermitian module case; only the pairing
-whose vanishing defines orthogonality changes, which is why the workers
-take a pair_is_zero predicate.
+The same pipeline serves the Hermitian module case.  A pairing is a
+tuple of integer matrices F_k, all scaled by one lcm of denominators,
+with f(u, v)_k = u*F_k*v^T: the single matrix s*G for a lattice, one
+slice per order coordinate for a Hermitian module.  Reduction, bound
+and norms always come from a rational norm Gram (the trace form for a
+module); only the pairing whose vanishing defines orthogonality changes.
 """
 
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import (
     BoundTooSmallError,
@@ -37,15 +43,19 @@ from .errors import (
 )
 from .linalg import (
     as_fraction_matrix,
+    dot,
     enumerate_short_vectors,
     gram_value,
     hnf_basis,
+    integer_scaled,
     is_symmetric,
     is_unimodular,
     lll_reduce,
     mat_mul,
+    mat_vec,
     first_nonpositive_minor,
     transpose,
+    vec_mat,
 )
 
 DECOMPOSE_MAX_RANK = 12
@@ -120,26 +130,23 @@ def restrict_gram(gram, basis_rows):
     return mat_mul(mat_mul(M, as_fraction_matrix(gram)), transpose(M))
 
 
-def _neg(v):
-    return tuple(-x for x in v)
+def _with_norms(v, cols):
+    """(v, f(v, v), -f(v, v)) from the columns F_k v^T of v."""
+    fvv = tuple([dot(v, c) for c in cols])
+    return v, fvv, tuple(-c for c in fvv)
 
 
-def _sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+def _witness_split(cols, below):
+    """A y in below (all shorter than x) such that y or -y splits off from x.
 
-
-def _witness_split(x, norm_x, short_vectors, norms, pair_is_zero):
-    """A y with 0 < norm(y) < norm(x), x-y nonzero, pairing(y, x-y) = 0."""
-    for y in short_vectors:
-        ny = norms[y]
-        if not ny < norm_x:
-            continue
-        for cand in (y, _neg(y)):
-            z = _sub(x, cand)
-            if not any(z):
-                continue
-            if pair_is_zero(cand, z):
-                return cand
+    cols are the columns F_k x^T, so f(y, x)_k = y . F_k x^T, and below
+    yields _with_norms triples.  As f(+-y, x -+ y) = +-f(y, x) - f(y, y),
+    the test is f(y, x) = +-f(y, y).
+    """
+    for y, plus, minus in below:
+        fyx = tuple([dot(y, c) for c in cols])
+        if fyx == plus or fyx == minus:
+            return y
     return None
 
 
@@ -151,22 +158,19 @@ def is_primitive(L, x, short_vectors, bound=None):
     the list, it can be passed explicitly, else the largest norm present
     is used.  Raises BoundTooSmallError when norm(x) exceeds it.
     """
-    norms = {v: L.norm(v) for v in short_vectors}
-    nx = L.norm(x)
-    limit = Fraction(bound) if bound is not None else max(norms.values(), default=Fraction(0))
+    s, forms = integer_scaled((L.gram,))
+    norms = {v: dot(vec_mat(v, forms[0]), v) for v in short_vectors}
+    nx = dot(vec_mat(x, forms[0]), x)
+    limit = Fraction(bound) * s if bound is not None else max(norms.values(), default=0)
     if nx > limit:
-        raise BoundTooSmallError(
-            "norm %s exceeds enumerated bound %s" % (nx, limit))
-    G = L.gram
-
-    def pair_is_zero(u, v):
-        return gram_value(G, u, v) == 0
-
-    return _witness_split(x, nx, short_vectors, norms, pair_is_zero) is None
+        raise BoundTooSmallError("norm %s exceeds enumerated bound %s"
+                                 % (Fraction(nx, s), Fraction(limit, s)))
+    below = [_with_norms(v, [mat_vec(F, v) for F in forms])
+             for v in short_vectors if norms[v] < nx]
+    return _witness_split([mat_vec(F, x) for F in forms], below) is None
 
 
 def _connected_components(items, related):
-    index = {v: i for i, v in enumerate(items)}
     parent = list(range(len(items)))
 
     def find(a):
@@ -177,18 +181,17 @@ def _connected_components(items, related):
 
     for i, x in enumerate(items):
         for j in range(i + 1, len(items)):
-            if related(x, items[j]):
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[ra] = rb
+            ra, rb = find(i), find(j)
+            if ra != rb and related(x, items[j]):
+                parent[ra] = rb
     groups = {}
     for i, v in enumerate(items):
         groups.setdefault(find(i), []).append(v)
     return list(groups.values())
 
 
-def decompose_pipeline(gram, pair_is_zero, max_rank=None):
-    """Shared worker; returns the sorted tuple of HNF block bases."""
+def decompose_pipeline(gram, forms, max_rank=None):
+    """Sorted HNF block bases, from a rational norm Gram and an integer pairing."""
     n = len(gram)
     limit = resolve_max_rank(DECOMPOSE_MAX_RANK, max_rank)
     if n > limit:
@@ -196,19 +199,26 @@ def decompose_pipeline(gram, pair_is_zero, max_rank=None):
             "rank %d exceeds decomposition guard %d (set LATDEC_MAX_RANK to override)"
             % (n, limit))
     gram = as_fraction_matrix(gram)
-    reduced, _ = lll_reduce(gram)
-    bound = max(reduced[i][i] for i in range(n))
-    shorts = enumerate_short_vectors(gram, bound)
-    norms = {v: gram_value(gram, v, v) for v in shorts}
-    primitives = [
-        x for x in shorts
-        if _witness_split(x, norms[x], shorts, norms, pair_is_zero) is None
-    ]
+    reduced = lll_reduce(gram)
+    bound = max(reduced[0][i][i] for i in range(n))
+    shorts = enumerate_short_vectors(gram, bound, reduced)
+    _, (Gs,) = integer_scaled((gram,))
+    norms = [dot(vec_mat(v, Gs), v) for v in shorts]
+    done = []  # _with_norms of the vectors before x
+    cols = {}  # the primitives, with their columns
+    level = 0  # done[:level] are the vectors of smaller norm than x
+    for i, x in enumerate(shorts):
+        if norms[i] != norms[level]:
+            level = i
+        cx = [mat_vec(F, x) for F in forms]
+        if _witness_split(cx, islice(done, level)) is None:
+            cols[x] = cx
+        done.append(_with_norms(x, cx))
 
     def related(u, v):
-        return not pair_is_zero(u, v)
+        return any(dot(v, c) for c in cols[u])
 
-    components = _connected_components(primitives, related)
+    components = _connected_components(list(cols), related)
     spans = [hnf_basis(comp) for comp in components]
     spans.sort(key=lambda s: (len(s), tuple(x for row in s for x in row)))
     stacked = tuple(row for s in spans for row in s)
@@ -221,11 +231,7 @@ def decompose_pipeline(gram, pair_is_zero, max_rank=None):
 def decompose(L, max_rank=None):
     """Unique orthogonal decomposition into indecomposable sublattices."""
     G = L.gram
-
-    def pair_is_zero(u, v):
-        return gram_value(G, u, v) == 0
-
-    bases = decompose_pipeline(G, pair_is_zero, max_rank)
+    bases = decompose_pipeline(G, integer_scaled((G,))[1], max_rank)
     blocks = tuple(Block(basis=b, gram=restrict_gram(G, b)) for b in bases)
     return OrthoDecomposition(blocks)
 

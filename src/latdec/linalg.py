@@ -11,10 +11,15 @@ All exact solving over Q goes through one fraction-free elimination,
 _echelon (Bareiss, Math. Comp. 22 (1968)): det, inverse, rational_rank,
 solve_rational, solve_rational_columns (many right-hand sides against
 one matrix) and first_nonpositive_minor are thin readings of it.
+
+lll_reduce is Cohen's integral LLL (Alg. 2.6.7): it updates integer
+Gram-Schmidt data in place.  integer_scaled gives rational matrices one
+common integer scale, the form in which the decomposition pipeline pairs.
 """
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import InvalidInputError, NoSolutionError, NotPositiveDefiniteError
 
@@ -46,7 +51,7 @@ def mat_vec(M, v):
 
 def vec_mat(v, M):
     """Row vector times matrix: the row-convention image of v under M."""
-    return tuple(sum(v[i] * M[i][j] for i in range(len(v))) for j in range(len(M[0]) if M else 0))
+    return tuple(sum(map(mul, v, col)) for col in zip(*M))
 
 
 def mat_sub(A, B):
@@ -58,7 +63,7 @@ def mat_neg(A):
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def gram_value(G, u, v):
@@ -68,6 +73,14 @@ def gram_value(G, u, v):
 
 def as_fraction_matrix(M):
     return tuple(tuple(Fraction(x) for x in row) for row in M)
+
+
+def integer_scaled(mats):
+    """(s, the matrices times s as ints), s the lcm of all their denominators."""
+    mats = tuple(as_fraction_matrix(M) for M in mats)
+    s = math.lcm(*(x.denominator for M in mats for row in M for x in row))
+    return s, tuple(tuple(tuple(x.numerator * (s // x.denominator) for x in row)
+                          for row in M) for M in mats)
 
 
 def is_integral(M):
@@ -302,77 +315,89 @@ def left_integer_kernel(M):
 
 
 def _gso(G):
-    """Gram-Schmidt data (squared norms B, coefficients mu) from a Gram matrix.
-
-    Raises NotPositiveDefiniteError as soon as some orthogonalised norm
-    fails to be positive; this doubles as the working PD test.
-    """
+    """Squared norms B and coefficients mu of G, read off _integral_gso."""
+    scale, (A,) = integer_scaled((G,))
+    d, lam = _integral_gso(A, scale)
     n = len(G)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    B = [Fraction(0)] * n
+    B = [Fraction(d[i + 1], d[i] * scale) for i in range(n)]
+    return B, [[Fraction(x, d[j + 1]) for j, x in enumerate(row)] for row in lam]
+
+
+def _integral_gso(A, scale):
+    """Integral Gram-Schmidt data of an integer Gram matrix A (Cohen 2.6.7).
+
+    d[i] is the Gram determinant of the first i vectors and lam[k][j] =
+    d[j+1] * mu[k][j]; all divisions are exact.  Raises the PD error for
+    the first norm d[i+1] / d[i] of A / scale that is not positive.
+    """
+    n = len(A)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i):
-            s = Fraction(G[i][j])
-            for k in range(j):
-                s -= mu[i][k] * mu[j][k] * B[k]
-            mu[i][j] = s / B[j]
-        s = Fraction(G[i][i])
-        for k in range(i):
-            s -= mu[i][k] * mu[i][k] * B[k]
-        if s <= 0:
-            raise NotPositiveDefiniteError(
-                "Gram matrix is not positive definite (Gram-Schmidt norm %d is %s)"
-                % (i + 1, s))
-        B[i] = s
-    return B, mu
-
-
-def _congruence_row_op(A, U, k, j, q):
-    # basis row k <- row k - q * row j, applied as a congruence on A
-    n = len(A)
-    for c in range(n):
-        A[k][c] -= q * A[j][c]
-    for r in range(n):
-        A[r][k] -= q * A[r][j]
-    U[k] = [a - q * b for a, b in zip(U[k], U[j])]
-
-
-def _swap_rows(A, U, k):
-    n = len(A)
-    A[k], A[k - 1] = A[k - 1], A[k]
-    for r in range(n):
-        A[r][k], A[r][k - 1] = A[r][k - 1], A[r][k]
-    U[k], U[k - 1] = U[k - 1], U[k]
+        li = lam[i]
+        for j in range(i + 1):
+            u = A[i][j]
+            for t in range(j):
+                u = (d[t + 1] * u - li[t] * lam[j][t]) // d[t]
+            if j < i:
+                li[j] = u
+            elif u <= 0:
+                raise NotPositiveDefiniteError(
+                    "Gram matrix is not positive definite (Gram-Schmidt norm %d is %s)"
+                    % (i + 1, Fraction(u, d[i] * scale)))
+            else:
+                d[i + 1] = u
+    return d, lam
 
 
 def lll_reduce(G, delta=LLL_DELTA):
-    """LLL reduction of a positive definite Gram matrix, fully rational.
+    """LLL reduction of a positive definite Gram matrix, in integers.
 
     Returns (G', U) with G' = U*G*U^T LLL-reduced for the given delta
-    (default 99/100) and U unimodular.  Works on the Gram matrix alone;
-    no vector embedding and no floating point.
+    (default 99/100) and U unimodular.  Integral LLL (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.6.7) on the Gram matrix
+    scaled to integers: a size reduction, by q = floor(mu + 1/2) against
+    j = k-1, ..., 0, updates one row of lam; a swap updates d[k] and the
+    lam entries below it.  No vector embedding, no floating point.
     """
     n = len(G)
     if not is_symmetric(G):
         raise InvalidInputError("gram: matrix is not symmetric")
-    A = [[Fraction(x) for x in row] for row in G]
-    U = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    _gso(A)  # PD check up front
+    scale, (A,) = integer_scaled((G,))
+    d, lam = _integral_gso(A, scale)  # PD check up front
+    U = [list(row) for row in identity(n)]
+    p, q = Fraction(delta).as_integer_ratio()
     k = 1
     while k < n:
-        B, mu = _gso(A)
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            q = math.floor(mu[k][j] + Fraction(1, 2))
-            if q:
-                _congruence_row_op(A, U, k, j, q)
-                B, mu = _gso(A)
-        if B[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * B[k - 1]:
+            dj = d[j + 1]
+            r = (2 * lk[j] + dj) // (2 * dj)
+            if r:
+                U[k] = [a - r * b for a, b in zip(U[k], U[j])]
+                lk[j] -= r * dj
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= r * lj[i]
+        l = lk[k - 1]
+        if q * d[k + 1] * d[k - 1] >= p * d[k] * d[k] - q * l * l:
             k += 1
-        else:
-            _swap_rows(A, U, k)
-            k = max(k - 1, 1)
-    Gred = tuple(tuple(x for x in row) for row in A)
-    Ured = tuple(tuple(int(x) for x in row) for row in U)
+            continue
+        U[k], U[k - 1] = U[k - 1], U[k]
+        lk1 = lam[k - 1]
+        for j in range(k - 1):
+            lk[j], lk1[j] = lk1[j], lk[j]
+        b = (d[k - 1] * d[k + 1] + l * l) // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - l * t) // d[k]
+            li[k - 1] = (b * t + l * li[k]) // d[k + 1]
+        d[k] = b
+        k = max(k - 1, 1)
+    Ured = tuple(tuple(row) for row in U)
+    Gred = tuple(tuple(Fraction(x, scale) for x in row)
+                 for row in mat_mul(mat_mul(Ured, A), transpose(Ured)))
     return Gred, Ured
 
 
@@ -400,14 +425,15 @@ def canonical_sign(v):
     return v
 
 
-def enumerate_short_vectors(G, bound):
+def enumerate_short_vectors(G, bound, reduced=None):
     """All nonzero integer vectors with 0 < v*G*v^T <= bound, one per +- pair.
 
     G must be symmetric positive definite with rational entries.  The
     result is sorted by (norm, lexicographic order) and each vector is
     sign-normalised so its first nonzero coordinate is positive.  The
     interval bounds of the search are computed exactly (integer square
-    roots), so acceptance never depends on rounding.
+    roots), so acceptance never depends on rounding.  reduced is the
+    (G', U) of lll_reduce(G) when the caller already has it.
     """
     n = len(G)
     if not is_symmetric(G):
@@ -415,15 +441,15 @@ def enumerate_short_vectors(G, bound):
     bound = Fraction(bound)
     if bound <= 0:
         return ()
-    Gred, U = lll_reduce(G)
+    Gred, U = reduced or lll_reduce(G)
     B, mu = _gso(Gred)
-    found = []
+    found = set()
     x = [0] * n
 
     def descend(i, remaining):
         if i < 0:
             if any(x):
-                found.append(tuple(x))
+                found.add(canonical_sign(vec_mat(x, U)))
             return
         c = Fraction(0)
         for j in range(i + 1, n):
@@ -438,6 +464,6 @@ def enumerate_short_vectors(G, bound):
         x[i] = 0
 
     descend(n - 1, bound)
-    Gf = as_fraction_matrix(G)
-    seen = {canonical_sign(vec_mat(y, U)) for y in found}
-    return tuple(sorted(seen, key=lambda v: (gram_value(Gf, v, v), v)))
+    del descend  # a self-referencing closure: free it and found without the GC
+    _, (Gs,) = integer_scaled((G,))
+    return tuple(sorted(found, key=lambda v: (dot(vec_mat(v, Gs), v), v)))

@@ -3,15 +3,18 @@
 Everything here deliberately avoids the library's own enumeration and
 reduction code paths: short vectors come from exhaustive box searches,
 group orders from explicit closure, reducedness from a direct check of
-the defining inequalities, determinants, ranks and solutions from the
-permutation expansion and Cramer's rule.
+the defining inequalities, LLL from a rational Gram-Schmidt table
+recomputed after every step, determinants, ranks and solutions from
+the permutation expansion and Cramer's rule, and orthogonal splittings
+from Fraction pairings evaluated straight from the definition.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from latdec.linalg import as_fraction_matrix, gram_value, inverse, mat_mul
+from latdec.errors import NotPositiveDefiniteError
+from latdec.linalg import as_fraction_matrix, gram_value, hnf_basis, inverse, mat_mul
 
 
 def _box_radii(G, bound):
@@ -147,8 +150,12 @@ def brute_short_vectors_big(G, bound):
     return sorted(hits, key=lambda v: (gram_value(Gf, v, v), v))
 
 
-def is_lll_reduced(G, delta=Fraction(99, 100)):
-    """Direct check of size reduction and the Lovasz condition."""
+def gram_schmidt(G):
+    """Squared norms B and coefficients mu of a Gram matrix, in Fractions.
+
+    Raises NotPositiveDefiniteError, worded as latdec words it, at the
+    first orthogonalised norm that is not positive.
+    """
     n = len(G)
     mu = [[Fraction(0)] * n for _ in range(n)]
     B = [Fraction(0)] * n
@@ -162,8 +169,20 @@ def is_lll_reduced(G, delta=Fraction(99, 100)):
         for k in range(i):
             s -= mu[i][k] * mu[i][k] * B[k]
         if s <= 0:
-            return False
+            raise NotPositiveDefiniteError(
+                "Gram matrix is not positive definite (Gram-Schmidt norm %d is %s)"
+                % (i + 1, s))
         B[i] = s
+    return B, mu
+
+
+def is_lll_reduced(G, delta=Fraction(99, 100)):
+    """Direct check of size reduction and the Lovasz condition."""
+    n = len(G)
+    try:
+        B, mu = gram_schmidt(G)
+    except NotPositiveDefiniteError:
+        return False
     for i in range(n):
         for j in range(i):
             if abs(mu[i][j]) > Fraction(1, 2):
@@ -172,6 +191,80 @@ def is_lll_reduced(G, delta=Fraction(99, 100)):
         if B[k] < (delta - mu[k][k - 1] * mu[k][k - 1]) * B[k - 1]:
             return False
     return True
+
+
+def lll_full_recompute(G, delta=Fraction(99, 100)):
+    """Textbook rational LLL on a Gram matrix: (G', U) with G' = U G U^T.
+
+    Row k is size-reduced against j = k-1, ..., 0 with q = floor(mu + 1/2),
+    then the Lovasz test decides between k + 1 and a swap.  The whole
+    Gram-Schmidt table is recomputed from the current Gram matrix after
+    every step, so nothing is updated incrementally.
+    """
+    n = len(G)
+    A = [[Fraction(x) for x in row] for row in G]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    gram_schmidt(A)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = math.floor(gram_schmidt(A)[1][k][j] + Fraction(1, 2))
+            if q:
+                for c in range(n):
+                    A[k][c] -= q * A[j][c]
+                for r in range(n):
+                    A[r][k] -= q * A[r][j]
+                U[k] = [a - q * b for a, b in zip(U[k], U[j])]
+        B, mu = gram_schmidt(A)
+        if B[k] >= (delta - mu[k][k - 1] * mu[k][k - 1]) * B[k - 1]:
+            k += 1
+        else:
+            A[k], A[k - 1] = A[k - 1], A[k]
+            for row in A:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            U[k], U[k - 1] = U[k - 1], U[k]
+            k = max(k - 1, 1)
+    return tuple(map(tuple, A)), tuple(map(tuple, U))
+
+
+def splits_off(x, vectors, norm, pair):
+    """True when some y in +-vectors with norm(y) < norm(x) has pair(y, x - y) zero.
+
+    pair(u, v) returns the pairing value as a tuple, zero meaning orthogonal.
+    """
+    for y in vectors:
+        if norm(y) >= norm(x):
+            continue
+        for cand in (y, tuple(-a for a in y)):
+            z = tuple(a - b for a, b in zip(x, cand))
+            if any(z) and not any(pair(cand, z)):
+                return True
+    return False
+
+
+def oracle_blocks(gram, pair):
+    """Block spans of the orthogonal splitting, straight from the definitions.
+
+    The ball S has radius the largest diagonal entry of gram, so it holds
+    the basis; its primitive vectors, grouped by "pair is nonzero" into
+    connected components, span the blocks.  Returns a frozenset of HNFs.
+    """
+    Gf = as_fraction_matrix(gram)
+
+    def norm(v):
+        return gram_value(Gf, v, v)
+
+    ball = brute_short_vectors(gram, max(Gf[i][i] for i in range(len(Gf))))
+    prims = [x for x in ball if not splits_off(x, ball, norm, pair)]
+    spans = []
+    while prims:
+        comp = [prims.pop()]
+        for u in comp:
+            linked = [v for v in prims if any(pair(u, v))]
+            prims = [v for v in prims if v not in linked]
+            comp.extend(linked)
+        spans.append(hnf_basis(comp))
+    return frozenset(spans)
 
 
 def closure_order(generators, cap=10 ** 6):

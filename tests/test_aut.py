@@ -96,6 +96,21 @@ class TestAutGroup:
         U = random_unimodular(rng, 3)
         assert aut_group(ZLattice(conjugate(G, U))).order == aut_group(ZLattice(G)).order
 
+    def test_rational_gram_same_group(self):
+        # the candidate table is scaled to integers; the target Gram must be too
+        rng = random.Random(37)
+        for G in (A2, diag_sum([A2, ((2,),)]), diag_sum([DET5, ((1,),)])):
+            for scale in (Fraction(1, 3), Fraction(5, 2)):
+                Gs = conjugate(tuple(tuple(scale * x for x in row) for row in G),
+                               random_unimodular(rng, len(G)))
+                assert aut_group(ZLattice(Gs)).order == aut_group(ZLattice(G)).order
+                assert isometry_witness(ZLattice(Gs), ZLattice(G)) is None
+                W = isometry_witness(ZLattice(Gs), ZLattice(
+                    tuple(tuple(scale * x for x in row) for row in G)))
+                WF = as_fraction_matrix(W)
+                assert mat_mul(mat_mul(WF, G), transpose(WF)) == tuple(
+                    tuple(x / scale for x in row) for row in Gs)
+
     def test_rank_guard(self, monkeypatch):
         with pytest.raises(RankTooLargeError):
             aut_group(ZLattice(eye(9)))

@@ -18,11 +18,20 @@ from latdec.hermitian import (
     regular_module,
     trace_form,
 )
-from latdec.lattice import ZLattice, decompose
-from latdec.linalg import identity, mat_vec
+from latdec.lattice import ZLattice, decompose, restrict_gram
+from latdec.linalg import (
+    hnf_basis,
+    identity,
+    inverse,
+    mat_mul,
+    mat_vec,
+    to_int_matrix,
+    transpose,
+    vec_mat,
+)
 
 from builders import gaussian_order, integers_order, matrix_order, zxz
-from oracles import random_spd_gram
+from oracles import oracle_blocks, random_spd_gram, random_unimodular
 
 
 def q_module(G):
@@ -39,6 +48,32 @@ def product_module():
         ((1, 0), (0, 0)),
         ((0, 0), (0, 1)),
     )
+    return HermitianModule(zxz(), action, form)
+
+
+def split_module(G1, G2, W):
+    """Z x Z on Z^(a+b), rebased by the unimodular W.
+
+    e1 acts as the identity on the first a coordinates, with form G1
+    there, and e2 on the last b, with form G2.  In the new basis, row p
+    of W, coordinates transform by W^T, so A' = W^-T A W^T.
+    """
+    a, n = len(G1), len(G1) + len(G2)
+    E1 = tuple(tuple(int(i == j < a) for j in range(n)) for i in range(n))
+    E2 = tuple(tuple(int(i == j >= a) for j in range(n)) for i in range(n))
+
+    def entry(i, j, k):
+        if k == 0 and i < a and j < a:
+            return G1[i][j]
+        if k == 1 and i >= a and j >= a:
+            return G2[i - a][j - a]
+        return 0
+
+    Wt = transpose(W)
+    action = tuple(mat_mul(mat_mul(transpose(inverse(W)), E), Wt) for E in (E1, E2))
+    form = tuple(tuple(tuple(
+        sum(W[p][i] * W[q][j] * entry(i, j, k) for i in range(n) for j in range(n))
+        for k in range(2)) for q in range(n)) for p in range(n))
     return HermitianModule(zxz(), action, form)
 
 
@@ -158,6 +193,45 @@ class TestDecompose:
             for b in D.blocks:
                 assert check_o_stability(M, b.basis)
                 assert len(decompose_restriction(M, b.basis)) == 1
+
+
+class TestRationalFormAgainstOracle:
+    """The integer pairing kernel against form_value evaluated directly."""
+
+    half = Fraction(1, 2)
+
+    def modules(self):
+        rng = random.Random(23)
+        gauss = regular_module(gaussian_order())
+        yield q_module(((1, self.half), (self.half, 1)))
+        yield HermitianModule(gauss.order, gauss.action, tuple(
+            tuple(tuple(Fraction(x, 3) for x in e) for e in row) for row in gauss.form))
+        for G1, G2 in (
+                (((self.half, Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 3))),
+                 ((Fraction(1, 5),),)),
+                (((Fraction(1, 3), 0), (0, Fraction(1, 5))),
+                 ((1, self.half), (self.half, 1)))):
+            for _ in range(3):
+                n = len(G1) + len(G2)
+                W = random_unimodular(rng, n, max_abs=2, steps=5)
+                yield split_module(G1, G2, W)
+
+    def test_decompose_hermitian(self):
+        for M in self.modules():
+            expected = oracle_blocks(M.trace_gram, M.form_value)
+            assert decompose_hermitian(M).bases() == expected
+
+    def test_decompose_restriction(self):
+        rng = random.Random(31)
+        for M in self.modules():
+            # the whole lattice in a new basis, and the image of the first
+            # basis element's action: the e1 part of a split module
+            image = hnf_basis(to_int_matrix(transpose(M.action[0])))
+            for rows in (random_unimodular(rng, M.rank, max_abs=2, steps=4), image):
+                g = restrict_gram(M.trace_gram, rows)
+                expected = oracle_blocks(g, lambda u, v, rows=rows: M.form_value(
+                    vec_mat(u, rows), vec_mat(v, rows)))
+                assert frozenset(decompose_restriction(M, rows)) == expected
 
 
 class TestOStability:

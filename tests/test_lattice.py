@@ -22,6 +22,7 @@ from latdec.lattice import (
     verify_decomposition,
 )
 from latdec.linalg import (
+    as_fraction_matrix,
     enumerate_short_vectors,
     gram_value,
     hnf_basis,
@@ -31,7 +32,14 @@ from latdec.linalg import (
     vec_mat,
 )
 
-from oracles import random_unimodular
+from oracles import (
+    brute_short_vectors,
+    lll_full_recompute,
+    oracle_blocks,
+    random_spd_gram,
+    random_unimodular,
+    splits_off,
+)
 
 I2 = ((1, 0), (0, 1))
 I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -135,6 +143,66 @@ class TestIsPrimitive:
         assert is_primitive(L, (1, 1), S, bound=6) is True
         with pytest.raises(BoundTooSmallError):
             is_primitive(L, (1, 1), S, bound=2)
+
+
+    def test_against_fraction_witness_search(self):
+        # random integer and rational Grams; each ball vector checked
+        # against a direct search for an orthogonal splitting
+        rng = random.Random(41)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            G = random_spd_gram(rng, n, spread=1)
+            U = random_unimodular(rng, n, max_abs=2, steps=5)
+            dens = [rng.choice((1, 1, 2, 3, 5)) for _ in range(n)]
+            G = tuple(tuple(Fraction(x, dens[i] * dens[j]) for j, x in enumerate(row))
+                      for i, row in enumerate(conjugate(G, U)))
+            L = ZLattice(G)
+            reduced = lll_full_recompute(G)[0]
+            bound = max(reduced[i][i] for i in range(n))
+            S = tuple(brute_short_vectors(G, bound))
+            for x in S + tuple(tuple(-a for a in v) for v in S):
+                expected = not splits_off(
+                    x, S, L.norm, lambda u, v: (gram_value(L.gram, u, v),))
+                assert is_primitive(L, x, S, bound=bound) is expected
+
+
+THIRD = Fraction(1, 3)
+# (Gram, planted block spans): diag(1/3, 1/5), A2 + <1/2> and A2/3 + <1/7> + <1>
+RATIONAL_PLANTED = (
+    (((THIRD, 0), (0, Fraction(1, 5))), (((1, 0),), ((0, 1),))),
+    (diag_sum([A2, ((Fraction(1, 2),),)]), (((1, 0, 0), (0, 1, 0)), ((0, 0, 1),))),
+    (diag_sum([((2 * THIRD, THIRD), (THIRD, 2 * THIRD)), ((Fraction(1, 7),),), ((1,),)]),
+     (((1, 0, 0, 0), (0, 1, 0, 0)), ((0, 0, 1, 0),), ((0, 0, 0, 1),))),
+)
+
+
+class TestDecomposeRational:
+    def test_planted_rational_grams(self):
+        rng = random.Random(13)
+        for G, spans in RATIONAL_PLANTED:
+            assert decompose(ZLattice(G)).bases() == frozenset(spans)
+            for _ in range(5):
+                U = random_unimodular(rng, len(G))
+                L = ZLattice(conjugate(G, U))
+                D = decompose(L)
+                assert D.bases() == transport_spans(spans, U)
+                assert verify_decomposition(L, D)
+
+    def test_against_oracle_pipeline(self):
+        rng = random.Random(17)
+        for _ in range(25):
+            blocks, rank = [], rng.randint(1, 4)
+            while sum(map(len, blocks)) < rank:
+                blocks.append(PLANT_POOL[rng.randrange(len(PLANT_POOL))])
+            G = diag_sum(blocks)
+            m = len(G)
+            dens = [rng.choice((1, 2, 3)) for _ in range(m)]
+            G = tuple(tuple(x / (dens[i] * dens[j]) for j, x in enumerate(row))
+                      for i, row in enumerate(G))
+            G = conjugate(G, random_unimodular(rng, m, max_abs=2, steps=5))
+            Gf = as_fraction_matrix(G)
+            expected = oracle_blocks(G, lambda u, v: (gram_value(Gf, u, v),))
+            assert decompose(ZLattice(G)).bases() == expected
 
 
 class TestDecompose:

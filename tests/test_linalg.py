@@ -31,6 +31,7 @@ from oracles import (
     cramer_solve,
     is_lll_reduced,
     leading_minors,
+    lll_full_recompute,
     leibniz_det,
     minor_rank,
     random_spd_gram,
@@ -123,6 +124,56 @@ class TestLll:
             assert Gred == mat_mul(mat_mul(U, as_fraction_matrix(G)), transpose(U))
             assert det(Gred) == det(G)
             assert is_lll_reduced(Gred)
+
+
+class TestLllAgainstOracle:
+    """The integral, incremental LLL against a full rational recompute."""
+
+    def test_same_reduction_and_transform(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            G = random_spd_gram(rng, n, spread=rng.choice((1, 2, 3)))
+            W = random_unimodular(rng, n, max_abs=4, steps=20)
+            G = mat_mul(mat_mul(W, G), transpose(W))
+            if rng.random() < 0.5:
+                # rows scaled by different denominators: D G D stays SPD
+                dens = [rng.choice((1, 2, 3, 5, 6)) for _ in range(n)]
+                G = tuple(tuple(Fraction(x, dens[i] * dens[j]) for j, x in enumerate(row))
+                          for i, row in enumerate(G))
+            Gred, U = lll_reduce(G)
+            assert (Gred, U) == lll_full_recompute(G)
+            assert all(isinstance(x, Fraction) for row in Gred for x in row)
+            assert all(type(x) is int for row in U for x in row)
+
+    def test_same_on_boundary_cases(self):
+        # mu = +-1/2 exactly (q = floor(mu + 1/2) rounds 1/2 up), and the
+        # Lovasz test at equality: 100 * d2 * d0 == 99 * d1^2 - 100 * lam^2
+        # for ((10, lam), (lam, 99/10)), also after reducing lam = 5 to -5
+        cases = [((2, 1), (1, 2)), ((2, -1), (-1, 2)), ((4, 2, 2), (2, 4, 2), (2, 2, 4))]
+        cases += [((10, lam), (lam, Fraction(99, 10))) for lam in (0, 3, -4, 5)]
+        rng = random.Random(43)
+        for G in list(cases):
+            W = random_unimodular(rng, len(G))
+            cases.append(mat_mul(mat_mul(W, G), transpose(W)))
+        for G in cases:
+            assert lll_reduce(G) == lll_full_recompute(G)
+
+    def test_not_positive_definite_reported_alike(self):
+        cases = (
+            ((1, 2), (2, 1)),
+            ((0,),),
+            ((1, 1), (1, 1)),
+            ((1, 0, 0), (0, -1, 0), (0, 0, 1)),
+            ((Fraction(1, 2), 1), (1, Fraction(1, 3))),
+            ((4, 2, 2), (2, 2, 1), (2, 1, Fraction(1, 2))),
+        )
+        for G in cases:
+            with pytest.raises(NotPositiveDefiniteError) as new:
+                lll_reduce(G)
+            with pytest.raises(NotPositiveDefiniteError) as old:
+                lll_full_recompute(G)
+            assert str(new.value) == str(old.value)
 
 
 class TestEnumeration:
