@@ -5,6 +5,10 @@ An involution is stored as the matrix S of the map x -> x* acting on
 coordinate columns (star(x) = S applied to x).  The predicates at the
 bottom classify an algebra by properties of its multiplication traces;
 they all reduce to exact rational linear algebra.
+
+The FiniteDimAlgebra and Involution constructors check every law, in
+integers; objects the package builds itself, whose laws are theorems
+(change_basis, the Hodge endomorphism order), come from `unchecked`.
 """
 
 import math
@@ -16,9 +20,10 @@ from .linalg import (
     det,
     first_nonpositive_minor,
     identity,
+    integer_scaled,
     inverse,
     is_integral,
-    is_symmetric,
+    is_positive_definite,
     is_unimodular,
     mat_mul,
     mat_vec,
@@ -31,6 +36,34 @@ from .linalg import (
 
 def as_element(v):
     return tuple(Fraction(x) for x in v)
+
+
+def unchecked(cls, *parts):
+    """cls assembled from parts without the checks of its constructor."""
+    obj = cls.__new__(cls)
+    obj._assemble(*parts)
+    return obj
+
+
+def _product(c, x, y):
+    """x * y under the structure constants c, in the scalars of c, x and y."""
+    d = len(c)
+    out = [0] * d
+    for i in range(d):
+        xi = x[i]
+        if not xi:
+            continue
+        ci = c[i]
+        for j in range(d):
+            yj = y[j]
+            if not yj:
+                continue
+            f = xi * yj
+            row = ci[j]
+            for k in range(d):
+                if row[k]:
+                    out[k] += f * row[k]
+    return tuple(out)
 
 
 class FiniteDimAlgebra:
@@ -47,6 +80,11 @@ class FiniteDimAlgebra:
             raise InvalidInputError("structure_constants: expected a d x d x d array")
         if len(one) != d:
             raise InvalidInputError("one: expected %d coordinates" % d)
+        self._assemble(structure, one)
+        self._validate()
+
+    def _assemble(self, structure, one):
+        d = len(structure)
         self.dim = d
         self.structure = tuple(
             tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in structure
@@ -56,21 +94,20 @@ class FiniteDimAlgebra:
         # traces of left/right multiplication by each basis element
         self._left_tr = tuple(sum(c[i][j][j] for j in range(d)) for i in range(d))
         self._right_tr = tuple(sum(c[j][i][j] for j in range(d)) for i in range(d))
-        self._validate()
 
     def _validate(self):
         d = self.dim
-        c = self.structure
         for i in range(d):
             e = self.basis_element(i)
             if self.mult(self.one, e) != e or self.mult(e, self.one) != e:
                 raise InvalidInputError("one: unit law fails at basis element %d" % i)
+        # both sides are quadratic in c, so one common scale serves them
+        _, c = integer_scaled(self.structure)
+        basis = identity(d)
         for i in range(d):
             for j in range(d):
                 for k in range(d):
-                    left = self.mult(c[i][j], self.basis_element(k))
-                    right = self.mult(self.basis_element(i), c[j][k])
-                    if left != right:
+                    if _product(c, c[i][j], basis[k]) != _product(c, basis[i], c[j][k]):
                         raise InvalidInputError(
                             "structure_constants: associativity fails at (%d,%d,%d)"
                             % (i, j, k))
@@ -79,24 +116,7 @@ class FiniteDimAlgebra:
         return tuple(Fraction(int(i == j)) for j in range(self.dim))
 
     def mult(self, x, y):
-        d = self.dim
-        c = self.structure
-        out = [Fraction(0)] * d
-        for i in range(d):
-            xi = x[i]
-            if not xi:
-                continue
-            ci = c[i]
-            for j in range(d):
-                yj = y[j]
-                if not yj:
-                    continue
-                f = xi * yj
-                row = ci[j]
-                for k in range(d):
-                    if row[k]:
-                        out[k] += f * row[k]
-        return tuple(out)
+        return tuple(map(Fraction, _product(self.structure, x, y)))
 
     def lmul_matrix(self, x):
         """Matrix of left multiplication by x on coordinate columns."""
@@ -130,22 +150,26 @@ class Involution:
         d = algebra.dim
         if len(matrix) != d or any(len(row) != d for row in matrix):
             raise InvalidInputError("involution: expected a %d x %d matrix" % (d, d))
-        self.algebra = algebra
-        self.matrix = as_fraction_matrix(matrix)
+        self._assemble(algebra, matrix)
         S = self.matrix
         if mat_mul(S, S) != as_fraction_matrix(identity(d)):
             raise InvalidInputError("involution: S^2 is not the identity")
         if self.apply(algebra.one) != algebra.one:
             raise InvalidInputError("involution: does not fix the unit")
+        # S scaled by s and c by t: (e_i e_j)* carries s*t, e_j* e_i* s*s*t
+        s, (S,) = integer_scaled((S,))
+        _, c = integer_scaled(algebra.structure)
+        stars = transpose(S)
         for i in range(d):
-            si = self.apply(algebra.basis_element(i))
             for j in range(d):
-                sj = self.apply(algebra.basis_element(j))
-                lhs = self.apply(algebra.structure[i][j])
-                rhs = algebra.mult(sj, si)
-                if lhs != rhs:
+                if (tuple(s * x for x in mat_vec(S, c[i][j]))
+                        != _product(c, stars[j], stars[i])):
                     raise InvalidInputError(
                         "involution: (e_%d e_%d)* != e_%d* e_%d*" % (i, j, j, i))
+
+    def _assemble(self, algebra, matrix):
+        self.algebra = algebra
+        self.matrix = as_fraction_matrix(matrix)
 
     def apply(self, x):
         return mat_vec(self.matrix, x)
@@ -208,8 +232,8 @@ def change_basis(order, W):
         s_old = order.star(rows[i])
         cols.append(vec_mat(s_old, Winv))
     S = transpose(tuple(cols))
-    new_alg = FiniteDimAlgebra(structure, one)
-    return InvolutiveOrder(new_alg, Involution(new_alg, S))
+    new_alg = unchecked(FiniteDimAlgebra, structure, one)
+    return InvolutiveOrder(new_alg, unchecked(Involution, new_alg, S))
 
 
 def trace_pairing(A):
@@ -259,10 +283,7 @@ def check_positive_involution(A, inv):
 
     Asymmetry short-circuits to False before any minor is computed.
     """
-    T = star_trace_form(A, inv)
-    if not is_symmetric(T):
-        return False
-    return first_nonpositive_minor(T) is None
+    return is_positive_definite(star_trace_form(A, inv))
 
 
 def positivity_witness(A, inv):

@@ -23,8 +23,8 @@ from .linalg import (
     det,
     dot,
     enumerate_short_vectors,
-    gram_value,
     hnf_basis,
+    identity,
     integer_scaled,
     inverse,
     lll_reduce,
@@ -46,10 +46,6 @@ class IsometryGroup:
     order: int
 
 
-def _int_identity(n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
 def _int_mul(A, B):
     cols = tuple(zip(*B))
     return tuple(
@@ -61,7 +57,7 @@ def _int_mul(A, B):
 def group_closure(generators, cap=CLOSURE_CAP):
     """All products of the given matrices; generators must be nonempty."""
     n = len(generators[0])
-    seen = {_int_identity(n)}
+    seen = {identity(n)}
     queue = deque(seen)
     gens = [tuple(tuple(int(x) for x in row) for row in g) for g in generators]
     while queue:
@@ -78,7 +74,7 @@ def group_closure(generators, cap=CLOSURE_CAP):
 
 def _reduce_generators(elements):
     """Greedy: keep an element only when the kept ones do not reach it."""
-    ident = _int_identity(len(elements[0]))
+    ident = identity(len(elements[0]))
     closure = {ident}
     gens = []
     for g in sorted(elements):
@@ -99,7 +95,8 @@ def _search(G_from, G_to, find_all):
     n = len(G_from)
     bound = max(G_from[i][i] for i in range(n))
     cands = []
-    for v in enumerate_short_vectors(G_to, bound):
+    # G_to is LLL-reduced already, and the enumerated set does not depend on the basis
+    for v in enumerate_short_vectors(G_to, bound, reduced=(G_to, identity(n))):
         cands.append(v)
         cands.append(tuple(-x for x in v))
     # one scale for both Grams: their denominators may differ
@@ -184,8 +181,9 @@ def isometry_witness(L1, L2, max_rank=None):
     R2, U2 = lll_reduce(G2)
     bound = max(max(R1[i][i] for i in range(len(R1))),
                 max(R2[i][i] for i in range(len(R2))))
-    norms1 = [gram_value(R1, v, v) for v in enumerate_short_vectors(R1, bound)]
-    norms2 = [gram_value(R2, v, v) for v in enumerate_short_vectors(R2, bound)]
+    _, (F1, F2) = integer_scaled((R1, R2))  # R1 and R2 are reduced already
+    norms1, norms2 = ([dot(vec_mat(v, F), v) for v in enumerate_short_vectors(
+        R, bound, reduced=(R, identity(L1.rank)))] for R, F in ((R1, F1), (R2, F2)))
     if norms1 != norms2:
         return None
     sols = _search(R1, R2, find_all=False)

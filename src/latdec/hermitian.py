@@ -7,11 +7,14 @@ vector in the order basis.  Decomposition runs the shared lattice
 pipeline on the rational trace form; only the pairing whose vanishing
 is orthogonality is the finer, algebra-valued one: the d integer slices
 F_k[a][b] = s * F[a][b][k], built once per module.
+
+The public constructor validates a module in full; regular_module checks
+only positivity, the other laws being theorems for a validated order.
 """
 
 from fractions import Fraction
 
-from .algebra import check_positive_involution, positivity_witness
+from .algebra import check_positive_involution, positivity_witness, unchecked
 from .errors import (
     InvalidInputError,
     NotPositiveDefiniteError,
@@ -32,6 +35,7 @@ from .linalg import (
     identity,
     integer_scaled,
     is_integral,
+    is_positive_definite,
     is_symmetric,
     mat_mul,
     mat_vec,
@@ -45,7 +49,6 @@ class HermitianModule:
     """Z^N with an algebra action and a compatible Hermitian form."""
 
     def __init__(self, order, action, form):
-        self.order = order
         d = order.dim
         if len(action) != d:
             raise InvalidInputError(
@@ -57,13 +60,12 @@ class HermitianModule:
                 raise InvalidInputError(
                     "action[%d]: matrix does not preserve the lattice" % i)
             acts.append(A)
-        self.action = tuple(acts)
-        N = len(self.action[0]) if d else 0
-        for i, A in enumerate(self.action):
+        action = tuple(acts)
+        N = len(action[0]) if d else 0
+        for i, A in enumerate(action):
             if len(A) != N or any(len(row) != N for row in A):
                 raise InvalidInputError(
                     "action[%d]: expected a %dx%d matrix" % (i, N, N))
-        self.rank = N
         try:
             form = tuple(
                 tuple(tuple(Fraction(x) for x in entry) for entry in row)
@@ -75,73 +77,17 @@ class HermitianModule:
                 len(entry) != d for row in form for entry in row):
             raise InvalidInputError(
                 "form: expected an %dx%d table of length-%d vectors" % (N, N, d))
+        self._assemble(order, action, form, _checked_trace_gram(order, action, form))
+
+    def _assemble(self, order, action, form, trace_gram):
+        self.order = order
+        self.action = action
+        self.rank = len(form)
         self.form = form
-        self._validate()
+        self.trace_gram = trace_gram
         _, self.pairing = integer_scaled(
             tuple(tuple(tuple(entry[k] for entry in row) for row in form)
-                  for k in range(d)))
-
-    def _validate(self):
-        R = self.order
-        d, N = R.dim, self.rank
-        if not check_positive_involution(R.algebra, R.involution):
-            raise NotPositiveInvolutionError(
-                "involution is not positive",
-                witness=positivity_witness(R.algebra, R.involution))
-        unit = _action_combination(self.action, R.one)
-        if unit != identity(N):
-            raise InvalidInputError("action: the unit does not act as the identity")
-        for i in range(d):
-            for j in range(i, d):
-                prod = mat_mul(self.action[i], self.action[j])
-                coords = R.mult(R.basis_element(i), R.basis_element(j))
-                if prod != _action_combination(self.action, coords):
-                    raise InvalidInputError(
-                        "action: matrices do not respect the multiplication "
-                        "table (pair %d, %d)" % (i, j))
-                if i != j:
-                    prod = mat_mul(self.action[j], self.action[i])
-                    coords = R.mult(R.basis_element(j), R.basis_element(i))
-                    if prod != _action_combination(self.action, coords):
-                        raise InvalidInputError(
-                            "action: matrices do not respect the multiplication "
-                            "table (pair %d, %d)" % (j, i))
-        flattened = tuple(tuple(x for row in A for x in row) for A in self.action)
-        if rational_rank(flattened) != d:
-            raise InvalidInputError("action: representation is not faithful")
-        for a in range(N):
-            for b in range(N):
-                if self.form[b][a] != R.star(self.form[a][b]):
-                    raise InvalidInputError(
-                        "form: not conjugate-symmetric at (%d, %d)" % (a, b))
-        for i in range(d):
-            A = self.action[i]
-            e = R.basis_element(i)
-            for a in range(N):
-                for b in range(N):
-                    lhs = [Fraction(0)] * d
-                    for g in range(N):
-                        c = A[g][a]
-                        if c:
-                            entry = self.form[g][b]
-                            for k in range(d):
-                                lhs[k] += c * entry[k]
-                    if tuple(lhs) != R.mult(e, self.form[a][b]):
-                        raise InvalidInputError(
-                            "form: not linear over the algebra at "
-                            "(%d, %d, %d)" % (i, a, b))
-        g = tuple(
-            tuple(R.algebra.left_trace(self.form[a][b]) for b in range(N))
-            for a in range(N)
-        )
-        if not is_symmetric(g):
-            raise InvalidInputError("form: trace Gram is not symmetric")
-        k = first_nonpositive_minor(g)
-        if k is not None:
-            raise NotPositiveDefiniteError(
-                "form: trace Gram leading principal minor %d is not positive" % k,
-                minor_index=k)
-        self.trace_gram = g
+                  for k in range(order.dim)))
 
     def form_value(self, x, y):
         """f(x, y) as a coordinate vector in the order basis."""
@@ -161,6 +107,69 @@ class HermitianModule:
         return tuple(acc)
 
 
+def _checked_trace_gram(R, action, form):
+    """Check every module law; return the trace Gram left_trace(f(b_a, b_b))."""
+    d, N = R.dim, len(form)
+    if not check_positive_involution(R.algebra, R.involution):
+        raise NotPositiveInvolutionError(
+            "involution is not positive",
+            witness=positivity_witness(R.algebra, R.involution))
+    unit = _action_combination(action, R.one)
+    if unit != identity(N):
+        raise InvalidInputError("action: the unit does not act as the identity")
+    for i in range(d):
+        for j in range(i, d):
+            prod = mat_mul(action[i], action[j])
+            coords = R.mult(R.basis_element(i), R.basis_element(j))
+            if prod != _action_combination(action, coords):
+                raise InvalidInputError(
+                    "action: matrices do not respect the multiplication "
+                    "table (pair %d, %d)" % (i, j))
+            if i != j:
+                prod = mat_mul(action[j], action[i])
+                coords = R.mult(R.basis_element(j), R.basis_element(i))
+                if prod != _action_combination(action, coords):
+                    raise InvalidInputError(
+                        "action: matrices do not respect the multiplication "
+                        "table (pair %d, %d)" % (j, i))
+    flattened = tuple(tuple(x for row in A for x in row) for A in action)
+    if rational_rank(flattened) != d:
+        raise InvalidInputError("action: representation is not faithful")
+    for a in range(N):
+        for b in range(N):
+            if form[b][a] != R.star(form[a][b]):
+                raise InvalidInputError(
+                    "form: not conjugate-symmetric at (%d, %d)" % (a, b))
+    for i in range(d):
+        A = action[i]
+        e = R.basis_element(i)
+        for a in range(N):
+            for b in range(N):
+                lhs = [Fraction(0)] * d
+                for g in range(N):
+                    c = A[g][a]
+                    if c:
+                        entry = form[g][b]
+                        for k in range(d):
+                            lhs[k] += c * entry[k]
+                if tuple(lhs) != R.mult(e, form[a][b]):
+                    raise InvalidInputError(
+                        "form: not linear over the algebra at "
+                        "(%d, %d, %d)" % (i, a, b))
+    g = tuple(
+        tuple(R.algebra.left_trace(form[a][b]) for b in range(N))
+        for a in range(N)
+    )
+    if not is_symmetric(g):
+        raise InvalidInputError("form: trace Gram is not symmetric")
+    k = first_nonpositive_minor(g)
+    if k is not None:
+        raise NotPositiveDefiniteError(
+            "form: trace Gram leading principal minor %d is not positive" % k,
+            minor_index=k)
+    return g
+
+
 def _action_combination(action, coords):
     n = len(action[0])
     out = [[Fraction(0)] * n for _ in range(n)]
@@ -175,18 +184,20 @@ def _action_combination(action, coords):
 
 
 def regular_module(order):
-    """The order acting on itself from the left, with f(x, y) = x y*."""
-    d = order.dim
-    action = tuple(order.algebra.lmul_matrix(order.basis_element(i))
-                   for i in range(d))
-    form = tuple(
-        tuple(
-            order.mult(order.basis_element(a), order.star(order.basis_element(b)))
-            for b in range(d)
-        )
-        for a in range(d)
-    )
-    return HermitianModule(order, action, form)
+    """The order acting on itself from the left, with f(x, y) = x y*.
+
+    Only positivity is checked: the trace Gram is star_trace_form."""
+    A, d = order.algebra, order.dim
+    basis = [order.basis_element(i) for i in range(d)]
+    stars = [order.star(e) for e in basis]
+    action = tuple(transpose(A.structure[i]) for i in range(d))  # lmul_matrix(e_i)
+    form = tuple(tuple(order.mult(e, s) for s in stars) for e in basis)
+    gram = tuple(tuple(A.left_trace(f) for f in row) for row in form)
+    if not is_positive_definite(gram):
+        raise NotPositiveInvolutionError(
+            "involution is not positive",
+            witness=positivity_witness(A, order.involution))
+    return unchecked(HermitianModule, order, action, form, gram)
 
 
 def trace_form(module):

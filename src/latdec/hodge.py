@@ -8,13 +8,17 @@ integral commutant of j, with the adjoint involution a -> psi^-1 a^T
 psi.  Splitting 1 in that order into orthogonal Hermitian idempotents
 i_v splits the lattice into the unique family of j-stable, pairwise
 psi-orthogonal indecomposable sublattices i_v(Z^N).
+
+PolarisedComplexStructure validates its input in full.  The endomorphism
+order is assembled unchecked: its laws and positivity are theorems, only
+the integrality of the adjoint depends on the input.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import FiniteDimAlgebra, Involution, InvolutiveOrder, check_positive_involution
+from .algebra import FiniteDimAlgebra, Involution, InvolutiveOrder, unchecked
 from .errors import (
     IncompleteDecompositionError,
     InternalError,
@@ -172,7 +176,7 @@ def _endomorphism_order_with_basis(H):
         for ii in range(d)
     )
     one = integral_coords(coords[d * d], bug)
-    algebra = FiniteDimAlgebra(structure, one)
+    algebra = unchecked(FiniteDimAlgebra, structure, one)
 
     def rosati_error():
         return InvalidHodgeStructureError(
@@ -181,11 +185,7 @@ def _endomorphism_order_with_basis(H):
 
     columns = [integral_coords(x, rosati_error) for x in coords[d * d + 1:]]
     S = tuple(tuple(columns[c][r] for c in range(d)) for r in range(d))
-    involution = Involution(algebra, S)
-    order = InvolutiveOrder(algebra, involution)
-    if not check_positive_involution(algebra, involution):
-        raise InvalidHodgeStructureError(
-            "psi: the adjoint involution is not positive")
+    order = InvolutiveOrder(algebra, unchecked(Involution, algebra, S))
     return order, basis
 
 

@@ -5,8 +5,9 @@ reduction code paths: short vectors come from exhaustive box searches,
 group orders from explicit closure, reducedness from a direct check of
 the defining inequalities, LLL from a rational Gram-Schmidt table
 recomputed after every step, determinants, ranks and solutions from
-the permutation expansion and Cramer's rule, and orthogonal splittings
-from Fraction pairings evaluated straight from the definition.
+the permutation expansion and Cramer's rule, orthogonal splittings
+from Fraction pairings evaluated straight from the definition, and the
+algebra and involution laws from Fraction products of basis elements.
 """
 
 import itertools
@@ -323,3 +324,58 @@ def random_spd_gram(rng, n, spread=2):
     for i in range(n):
         G[i][i] += rng.randint(1, 2)
     return tuple(tuple(row) for row in G)
+
+
+def _fraction_mult(c, x, y):
+    d = len(c)
+    return tuple(
+        sum((x[i] * y[j] * c[i][j][k] for i in range(d) for j in range(d) if x[i] and y[j]),
+            Fraction(0))
+        for k in range(d))
+
+
+def algebra_law_failure(structure, one):
+    """First failure message of the unit and associativity laws, or None.
+
+    The Fraction loops of the original constructor: the unit law on every
+    basis element, then (e_i e_j) e_k = e_i (e_j e_k) over i, j, k.
+    """
+    d = len(structure)
+    c = [[[Fraction(x) for x in row] for row in plane] for plane in structure]
+    one = tuple(Fraction(x) for x in one)
+    basis = [tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)]
+    for i, e in enumerate(basis):
+        if _fraction_mult(c, one, e) != e or _fraction_mult(c, e, one) != e:
+            return "one: unit law fails at basis element %d" % i
+    for i, j, k in itertools.product(range(d), repeat=3):
+        if _fraction_mult(c, c[i][j], basis[k]) != _fraction_mult(c, basis[i], c[j][k]):
+            return "structure_constants: associativity fails at (%d,%d,%d)" % (i, j, k)
+    return None
+
+
+def involution_law_failure(structure, one, matrix):
+    """First failure message of the involution laws, or None.
+
+    S^2 = 1, S fixes the unit, then (e_i e_j)* = e_j* e_i* over i, j, with
+    each star image recomputed as in the original constructor.
+    """
+    d = len(structure)
+    c = [[[Fraction(x) for x in row] for row in plane] for plane in structure]
+    S = as_fraction_matrix(matrix)
+
+    def star(x):
+        return tuple(sum(S[r][k] * x[k] for k in range(d)) for r in range(d))
+
+    if mat_mul(S, S) != as_fraction_matrix(tuple(
+            tuple(int(i == j) for j in range(d)) for i in range(d))):
+        return "involution: S^2 is not the identity"
+    if star(one) != tuple(Fraction(x) for x in one):
+        return "involution: does not fix the unit"
+    basis = [tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)]
+    for i in range(d):
+        si = star(basis[i])
+        for j in range(d):
+            sj = star(basis[j])
+            if star(c[i][j]) != _fraction_mult(c, sj, si):
+                return "involution: (e_%d e_%d)* != e_%d* e_%d*" % (i, j, j, i)
+    return None

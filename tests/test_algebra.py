@@ -18,11 +18,14 @@ from latdec.algebra import (
     trace_pairing,
 )
 from latdec.errors import InvalidInputError
+from latdec.jsonio import parse_algebra
+from latdec.linalg import as_fraction_matrix, identity, inverse, transpose, vec_mat
 
 from builders import (
     cyclic_group_ring,
     dual_numbers,
     gaussian_order,
+    integers_order,
     klein_four_ring,
     matrix_order,
     product_order,
@@ -30,7 +33,7 @@ from builders import (
     upper_triangular_2x2,
     zxz,
 )
-from oracles import random_unimodular
+from oracles import algebra_law_failure, involution_law_failure, random_unimodular
 
 
 class TestConstruction:
@@ -43,7 +46,7 @@ class TestConstruction:
             [[0, 1, 0], [0, 0, 1], e],
             [[0, 0, 1], z, z],
         ]
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"associativity fails at \(1,1,1\)"):
             FiniteDimAlgebra(structure, [1, 0, 0])
 
     def test_rejects_broken_unit(self):
@@ -54,6 +57,18 @@ class TestConstruction:
         alg = FiniteDimAlgebra([[[1]]], [1])
         with pytest.raises(InvalidInputError):
             Involution(alg, [[2]])
+
+    def test_rejects_involution_moving_the_unit(self):
+        alg = FiniteDimAlgebra([[[1]]], [1])
+        with pytest.raises(InvalidInputError, match="does not fix the unit"):
+            Involution(alg, [[-1]])
+
+    def test_rejects_multiplicative_involution_of_noncommutative_algebra(self):
+        # the identity is not an anti-automorphism of M_2: (E11 E12)* = E12
+        # while E12* E11* = E12 E11 = 0
+        alg = matrix_order(2).algebra
+        with pytest.raises(InvalidInputError, match=r"\(e_0 e_1\)\* != e_1\* e_0\*"):
+            Involution(alg, identity(4))
 
     def test_rejects_non_integral_order(self):
         structure = [[[Fraction(1, 2)]]]
@@ -153,6 +168,87 @@ class TestPredicates:
             assert check_nd(R.algebra)
 
 
+def rebased(R, W):
+    """Structure constants, unit and involution matrix of R in the basis
+    given by the rows of the invertible rational matrix W."""
+    A, d = R.algebra, R.dim
+    W = as_fraction_matrix(W)
+    Winv = inverse(W)
+    structure = tuple(
+        tuple(vec_mat(A.mult(W[i], W[j]), Winv) for j in range(d)) for i in range(d))
+    S = transpose(tuple(vec_mat(R.star(W[i]), Winv) for i in range(d)))
+    return structure, vec_mat(A.one, Winv), S
+
+
+def _failure(make, *args):
+    try:
+        make(*args)
+    except InvalidInputError as exc:
+        return str(exc)
+    return None
+
+
+def _as_json(structure, one, S):
+    def q(x):
+        x = Fraction(x)
+        return x.numerator if x.denominator == 1 else str(x)
+    return {
+        "dim": len(one),
+        "structure_constants": [[[q(x) for x in row] for row in plane] for plane in structure],
+        "one": [q(x) for x in one],
+        "involution": [[q(x) for x in row] for row in S],
+    }
+
+
+def boundary_inputs(rng):
+    """(structure, one, S) triples: builder orders in their own, a random
+    unimodular and a random rational basis, then copies with one structure
+    constant, the unit or one involution entry perturbed, and the identity
+    and its negative as involutions."""
+    orders = [matrix_order(1), matrix_order(2), gaussian_order(), dual_numbers(),
+              zxz(False), zxz(True), integers_order(), cyclic_group_ring(3),
+              cyclic_group_ring(4), klein_four_ring(), sym3_ring(),
+              product_order(gaussian_order(), zxz(False))]
+    for R in orders:
+        d = R.dim
+        U = random_unimodular(rng, d, max_abs=2, steps=6)
+        rational = [list(map(Fraction, row)) for row in random_unimodular(rng, d)]
+        rational[0] = [x / rng.choice((2, 3)) for x in rational[0]]
+        for W in (identity(d), U, rational):
+            structure, one, S = rebased(R, W)
+            yield structure, one, S
+            for _ in range(2):
+                bent = [[list(row) for row in plane] for plane in structure]
+                i, j, k = (rng.randrange(d) for _ in range(3))
+                bent[i][j][k] += rng.choice((1, -1, Fraction(1, 2)))
+                yield bent, one, S
+            bent_one = list(one)
+            bent_one[rng.randrange(d)] += rng.choice((1, -1))
+            yield structure, bent_one, S
+            bent_S = [list(row) for row in S]
+            bent_S[rng.randrange(d)][rng.randrange(d)] += rng.choice((1, -1))
+            yield structure, one, bent_S
+            yield structure, one, identity(d)
+            yield structure, one, tuple(tuple(-x for x in row) for row in identity(d))
+
+
+class TestBoundaryChecksAgainstOracle:
+    def test_same_verdict_and_first_message(self):
+        kinds = ("unit law", "associativity", "S^2", "fix the unit", "* !=")
+        seen = set()
+        for structure, one, S in boundary_inputs(random.Random(23)):
+            expected = algebra_law_failure(structure, one)
+            assert _failure(FiniteDimAlgebra, structure, one) == expected
+            if expected is None:
+                expected = involution_law_failure(structure, one, S)
+                alg = FiniteDimAlgebra(structure, one)
+                assert _failure(Involution, alg, S) == expected
+            assert _failure(parse_algebra, _as_json(structure, one, S)) == expected
+            seen.add(expected and next(k for k in kinds if k in expected))
+        # accepted inputs and every kind of rejection occur
+        assert seen == {None, *kinds}
+
+
 def curated_orders(rng):
     """Pool of involutive orders of dimension <= 6, plus basis changes."""
     base = [
@@ -227,6 +323,14 @@ class TestChangeBasis:
             assert check_nd(R2.algebra) == check_nd(R.algebra)
             assert check_positive_involution(R2.algebra, R2.involution) == \
                 check_positive_involution(R.algebra, R.involution)
+
+    def test_output_passes_the_public_checks(self):
+        rng = random.Random(29)
+        for R in (gaussian_order(), matrix_order(2), sym3_ring(), zxz(True),
+                  product_order(cyclic_group_ring(3), gaussian_order())):
+            R2 = change_basis(R, random_unimodular(rng, R.dim))
+            alg = FiniteDimAlgebra(R2.algebra.structure, R2.algebra.one)
+            Involution(alg, R2.involution.matrix)
 
     def test_left_trace_transforms_linearly(self):
         R = matrix_order(2)

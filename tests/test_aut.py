@@ -21,6 +21,7 @@ from latdec.linalg import (
     enumerate_short_vectors,
     gram_value,
     is_unimodular,
+    lll_reduce,
     mat_mul,
     transpose,
 )
@@ -131,6 +132,21 @@ class TestIsometric:
             assert W is not None
             WF = as_fraction_matrix(W)
             assert mat_mul(mat_mul(WF, L2.gram), transpose(WF)) == L1.gram
+
+    def test_congruent_with_different_reductions(self):
+        # the two sides reduce to different Grams, so comparing their norm
+        # lists checks that each side's vectors are measured by its own Gram
+        rng = random.Random(17)
+        differ = 0
+        for G in (A2, ((3, 1, 1), (1, 4, 2), (1, 2, 5)), diag_sum([A2, ((3,),)]),
+                  ((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 3), 1))):
+            for _ in range(3):
+                L1 = ZLattice(conjugate(G, random_unimodular(rng, len(G))))
+                L2 = ZLattice(G)
+                differ += lll_reduce(L1.gram)[0] != lll_reduce(L2.gram)[0]
+                WF = as_fraction_matrix(isometry_witness(L1, L2))
+                assert mat_mul(mat_mul(WF, L2.gram), transpose(WF)) == L1.gram
+        assert differ
 
     def test_different_determinants(self):
         assert is_isometric(ZLattice(((2,),)), ZLattice(((4,),))) is False

@@ -30,7 +30,18 @@ from latdec.linalg import (
     vec_mat,
 )
 
-from builders import gaussian_order, integers_order, matrix_order, zxz
+from latdec.algebra import change_basis, star_trace_form
+from builders import (
+    cyclic_group_ring,
+    dual_numbers,
+    gaussian_order,
+    integers_order,
+    klein_four_ring,
+    matrix_order,
+    product_order,
+    sym3_ring,
+    zxz,
+)
 from oracles import oracle_blocks, random_spd_gram, random_unimodular
 
 
@@ -128,6 +139,46 @@ class TestConstruction:
         R = zxz(swap=True)
         x = R.mult(w, R.star(w))
         assert R.algebra.left_trace(x) <= 0
+
+
+def validated_regular_module(R):
+    """The regular module through the public constructor: action by
+    lmul_matrix, form x y*, every module law checked."""
+    A, d = R.algebra, R.dim
+    basis = [A.basis_element(i) for i in range(d)]
+    action = tuple(A.lmul_matrix(e) for e in basis)
+    form = tuple(tuple(R.mult(a, R.star(b)) for b in basis) for a in basis)
+    return HermitianModule(R, action, form)
+
+
+class TestRegularModuleMatchesValidated:
+    def orders(self):
+        rng = random.Random(31)
+        for R in (integers_order(), gaussian_order(), zxz(), matrix_order(2),
+                  matrix_order(3), cyclic_group_ring(5), klein_four_ring(), sym3_ring(),
+                  product_order(matrix_order(2), gaussian_order())):
+            yield R
+            yield change_basis(R, random_unimodular(rng, R.dim))
+
+    def test_same_module(self):
+        for R in self.orders():
+            M, V = regular_module(R), validated_regular_module(R)
+            assert M.action == V.action
+            assert M.form == V.form
+            assert M.trace_gram == V.trace_gram == star_trace_form(R.algebra, R.involution)
+            assert M.pairing == V.pairing
+            assert M.rank == V.rank == R.dim
+
+    def test_same_rejection_of_a_nonpositive_involution(self):
+        rng = random.Random(37)
+        for R in (zxz(swap=True), dual_numbers(),
+                  change_basis(zxz(swap=True), random_unimodular(rng, 2))):
+            with pytest.raises(NotPositiveInvolutionError) as fast:
+                regular_module(R)
+            with pytest.raises(NotPositiveInvolutionError) as full:
+                validated_regular_module(R)
+            assert str(fast.value) == str(full.value)
+            assert fast.value.witness == full.value.witness
 
 
 class TestTraceForm:

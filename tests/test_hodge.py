@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from latdec.algebra import FiniteDimAlgebra, Involution, check_positive_involution
 from latdec.errors import (
     InvalidHodgeStructureError,
     InvalidInputError,
@@ -158,6 +159,18 @@ class TestEndomorphismOrder:
         # (they form [[p, q], [-2q, 2p]] in either direction), and the
         # commutant has rank 2 + 2 + 2 + 2 = 8 rather than 4.
         assert endomorphism_order(product_structure()).dim == 8
+
+    def test_order_passes_the_public_checks(self):
+        # the order is assembled without checks; the public constructors
+        # must accept it, and its involution must be positive
+        rng = random.Random(43)
+        for H in (elliptic(), scaled_cm(), PolarisedComplexStructure(JGEN, PSI0),
+                  product_structure(), square_structure()):
+            for H in (H, transport(H, random_unimodular(rng, H.rank))):
+                R = endomorphism_order(H)
+                alg = FiniteDimAlgebra(R.algebra.structure, R.algebra.one)
+                Involution(alg, R.involution.matrix)
+                assert check_positive_involution(R.algebra, R.involution)
 
     def test_adjoint_must_preserve_the_order(self):
         # With mismatched polarisation weights on two identical factors the
