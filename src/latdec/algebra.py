@@ -127,14 +127,6 @@ class FiniteDimAlgebra:
             for k in range(d)
         )
 
-    def rmul_matrix(self, x):
-        d = self.dim
-        c = self.structure
-        return tuple(
-            tuple(sum(x[i] * c[j][i][k] for i in range(d)) for j in range(d))
-            for k in range(d)
-        )
-
     def left_trace(self, x):
         """Trace of left multiplication by x (Q-linear in x)."""
         return sum(x[i] * self._left_tr[i] for i in range(self.dim))

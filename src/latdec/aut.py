@@ -1,15 +1,21 @@
 """Isometry groups of small definite lattices.
 
-Isometries are found by backtracking over images of an LLL-reduced
-basis.  Every row of an isometry has the norm of the corresponding
-reduced basis vector, so candidates come from the finite enumerated
-ball of norm up to the largest reduced diagonal; partial inner-product
-constraints prune the search.  Integer inner products between candidates,
-against both Grams scaled by one common factor, are precomputed once,
-which keeps the inner loop to table lookups.
+Isometries are searched on LLL-reduced bases.  Every row of a solution W
+of W*G_to*W^T = G_from has the norm of the matching G_from diagonal, so
+candidate rows come from the finite enumerated ball of G_to up to the
+largest such norm, with their negatives.  Their integer inner products,
+against both Grams scaled by one common factor, are tabulated once, and a
+backtrack extends a given prefix of rows by table lookups only.
 
-Everything here is desk-scale on purpose: the rank guard (default 8)
-exists because the full group is enumerated element by element.
+aut_group follows the stabiliser chain of Plesken and Souvignier
+(J. Symbolic Comput. 24 (1997)).  For i = n-1 down to 0 it completes the
+orbit of b_i under the isometries that fix b_0..b_(i-1): each candidate
+image that the generators found so far do not reach gets one backtrack,
+and a success becomes a generator.  |Aut| is the product of the orbit
+lengths, and only the generators are carried back to the input basis.
+
+The rank guard (default 8) remains because the enumerated ball and the
+backtrack grow exponentially with the rank.
 """
 
 import math
@@ -19,7 +25,6 @@ from dataclasses import dataclass
 from .errors import InternalError, RankTooLargeError
 from .lattice import ZLattice, decompose, resolve_max_rank
 from .linalg import (
-    as_fraction_matrix,
     det,
     dot,
     enumerate_short_vectors,
@@ -27,6 +32,7 @@ from .linalg import (
     identity,
     integer_scaled,
     inverse,
+    is_integral,
     lll_reduce,
     mat_mul,
     to_int_matrix,
@@ -46,14 +52,6 @@ class IsometryGroup:
     order: int
 
 
-def _int_mul(A, B):
-    cols = tuple(zip(*B))
-    return tuple(
-        tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-        for row in A
-    )
-
-
 def group_closure(generators, cap=CLOSURE_CAP):
     """All products of the given matrices; generators must be nonempty."""
     n = len(generators[0])
@@ -63,7 +61,7 @@ def group_closure(generators, cap=CLOSURE_CAP):
     while queue:
         x = queue.popleft()
         for g in gens:
-            y = _int_mul(x, g)
+            y = mat_mul(x, g)
             if y not in seen:
                 if len(seen) >= cap:
                     raise InternalError("group closure exceeded %d elements" % cap)
@@ -72,129 +70,121 @@ def group_closure(generators, cap=CLOSURE_CAP):
     return seen
 
 
-def _reduce_generators(elements):
-    """Greedy: keep an element only when the kept ones do not reach it."""
-    ident = identity(len(elements[0]))
-    closure = {ident}
-    gens = []
-    for g in sorted(elements):
-        if g not in closure:
-            gens.append(g)
-            closure = group_closure(gens)
-    if len(closure) != len(elements):
-        raise InternalError("generator closure disagrees with enumerated order")
-    return tuple(gens)
+def _table(F_from, F_to, vectors):
+    """Candidate rows of W with W*G_to*W^T = G_from, and their inner products.
 
-
-def _search(G_from, G_to, find_all):
-    """Integer W with W*G_to*W^T = G_from, as lists of rows.
-
-    Complete: rows of any solution have the norms of the G_from diagonal
-    and therefore appear among the enumerated candidates.
+    F_from and F_to are the Grams times one common integer scale; vectors
+    are short vectors of G_to, one per sign, that include every norm of
+    the G_from diagonal.  Returns (candidates, ip, by_level): ip[a][c] is
+    the scaled inner product of candidates a and c, and by_level[i] lists
+    the candidates that have the norm of row i.
     """
-    n = len(G_from)
-    bound = max(G_from[i][i] for i in range(n))
-    cands = []
-    # G_to is LLL-reduced already, and the enumerated set does not depend on the basis
-    for v in enumerate_short_vectors(G_to, bound, reduced=(G_to, identity(n))):
-        cands.append(v)
-        cands.append(tuple(-x for x in v))
-    # one scale for both Grams: their denominators may differ
-    _, (F_from, F_to) = integer_scaled((G_from, G_to))
+    cands = [w for v in vectors for w in (v, tuple(-x for x in v))]
     ip = [[dot(r, v) for v in cands] for r in (vec_mat(u, F_to) for u in cands)]
-    by_level = []
-    for i in range(n):
-        target = F_from[i][i]
-        level = tuple(k for k in range(len(cands)) if ip[k][k] == target)
-        if not level:
-            return []
-        by_level.append(level)
-    sols = []
-    rows = []
+    by_level = [[a for a in range(len(cands)) if ip[a][a] == F_from[i][i]]
+                for i in range(len(F_from))]
+    return cands, ip, by_level
 
-    def rec(i):
-        for a in by_level[i]:
-            ok = True
-            for j in range(i):
-                if ip[rows[j]][a] != F_from[i][j]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            rows.append(a)
-            if i + 1 == n:
-                sols.append(tuple(rows))
-                if not find_all:
-                    rows.pop()
-                    return True
-            elif rec(i + 1):
-                rows.pop()
-                return True
-            rows.pop()
-        return False
 
-    rec(0)
-    return [tuple(cands[a] for a in s) for s in sols]
+def _fits(F, ip, rows, a):
+    """Whether candidate a can follow the rows: its products with them match."""
+    return all(ip[b][a] == F[len(rows)][j] for j, b in enumerate(rows))
+
+
+def _extend(F, ip, by_level, rows):
+    """Candidate indices of a whole solution that begins with rows, or None."""
+    if len(rows) == len(F):
+        return rows
+    for a in by_level[len(rows)]:
+        if _fits(F, ip, rows, a):
+            found = _extend(F, ip, by_level, rows + [a])
+            if found:
+                return found
+    return None
+
+
+def _orbit(v, gens):
+    """The orbit of the row vector v under the group the matrices generate."""
+    orbit = {v}
+    queue = [v]
+    for w in queue:
+        for g in gens:
+            x = vec_mat(w, g)
+            if x not in orbit:
+                orbit.add(x)
+                queue.append(x)
+    return orbit
+
+
+def _in_input_basis(Ws, U_from, U_to, G_from, G_to):
+    """U_from^-1 * W * U_to for solutions W on reduced bases, each checked."""
+    V, U = to_int_matrix(inverse(U_from)), to_int_matrix(U_to)
+    _, (S_from, S_to) = integer_scaled((G_from, G_to))
+    Xs = tuple(mat_mul(mat_mul(V, W), U) for W in Ws)
+    if any(mat_mul(mat_mul(X, S_to), transpose(X)) != S_from for X in Xs):
+        raise InternalError("isometry fails its defining equation")
+    return Xs
+
+
+def _check_rank(rank, max_rank):
+    limit = resolve_max_rank(AUT_MAX_RANK, max_rank)
+    if rank > limit:
+        raise RankTooLargeError(
+            "rank %d exceeds isometry guard %d (set LATDEC_MAX_RANK to override)"
+            % (rank, limit))
 
 
 def aut_group(L, max_rank=None):
     """The full isometry group of the lattice, with exact order."""
     n = L.rank
-    limit = resolve_max_rank(AUT_MAX_RANK, max_rank)
-    if n > limit:
-        raise RankTooLargeError(
-            "rank %d exceeds isometry guard %d (set LATDEC_MAX_RANK to override)"
-            % (n, limit))
+    _check_rank(n, max_rank)
     if n == 0:
         return IsometryGroup((), 1)
     R, U = lll_reduce(L.gram)
-    mats = _search(R, R, find_all=True)
-    U_int = to_int_matrix(U)
-    U_inv = to_int_matrix(inverse(as_fraction_matrix(U_int)))
-    elements = {_int_mul(_int_mul(U_inv, W), U_int) for W in mats}
-    if len(elements) != len(mats):
-        raise InternalError("conjugation collapsed distinct isometries")
-    gens = _reduce_generators(list(elements))
-    G = L.gram
-    for X in gens:
-        XF = as_fraction_matrix(X)
-        if mat_mul(mat_mul(XF, G), transpose(XF)) != G:
-            raise InternalError("generator does not preserve the Gram matrix")
-    return IsometryGroup(gens, len(elements))
+    _, (F,) = integer_scaled((R,))
+    cands, ip, by_level = _table(F, F, enumerate_short_vectors(
+        R, max(R[i][i] for i in range(n)), reduced=(R, identity(n))))
+    base = [cands.index(e) for e in identity(n)]
+    gens = []  # on the reduced basis; those found at level i fix b_0..b_(i-1)
+    order = 1
+    for i in reversed(range(n)):
+        orbit = _orbit(cands[base[i]], gens)
+        for c in by_level[i]:
+            if cands[c] in orbit or not _fits(F, ip, base[:i], c):
+                continue
+            rows = _extend(F, ip, by_level, base[:i] + [c])
+            if rows is not None:
+                gens.append(tuple(cands[a] for a in rows))
+                orbit = _orbit(cands[base[i]], gens)
+        order *= len(orbit)
+    return IsometryGroup(_in_input_basis(gens, U, U, L.gram, L.gram), order)
 
 
 def isometry_witness(L1, L2, max_rank=None):
     """U with U*G2*U^T = G1, or None when the lattices are not isometric."""
-    limit = resolve_max_rank(AUT_MAX_RANK, max_rank)
-    if max(L1.rank, L2.rank) > limit:
-        raise RankTooLargeError(
-            "rank %d exceeds isometry guard %d (set LATDEC_MAX_RANK to override)"
-            % (max(L1.rank, L2.rank), limit))
+    n = max(L1.rank, L2.rank)
+    _check_rank(n, max_rank)
     if L1.rank != L2.rank:
         return None
-    if L1.rank == 0:
+    if n == 0:
         return ()
     G1, G2 = L1.gram, L2.gram
     if det(G1) != det(G2):
         return None
     R1, U1 = lll_reduce(G1)
     R2, U2 = lll_reduce(G2)
-    bound = max(max(R1[i][i] for i in range(len(R1))),
-                max(R2[i][i] for i in range(len(R2))))
-    _, (F1, F2) = integer_scaled((R1, R2))  # R1 and R2 are reduced already
-    norms1, norms2 = ([dot(vec_mat(v, F), v) for v in enumerate_short_vectors(
-        R, bound, reduced=(R, identity(L1.rank)))] for R, F in ((R1, F1), (R2, F2)))
-    if norms1 != norms2:
+    bound = max(R[i][i] for R in (R1, R2) for i in range(n))
+    _, (F1, F2) = integer_scaled((R1, R2))
+    # one enumeration per side, at one bound: the norm lists, then the table
+    vecs1, vecs2 = (enumerate_short_vectors(R, bound, reduced=(R, identity(n)))
+                    for R in (R1, R2))
+    if [dot(vec_mat(v, F1), v) for v in vecs1] != [dot(vec_mat(v, F2), v) for v in vecs2]:
         return None
-    sols = _search(R1, R2, find_all=False)
-    if not sols:
+    cands, ip, by_level = _table(F1, F2, vecs2)
+    rows = _extend(F1, ip, by_level, [])
+    if rows is None:
         return None
-    W = sols[0]
-    V = _int_mul(_int_mul(to_int_matrix(inverse(U1)), W), to_int_matrix(U2))
-    VF = as_fraction_matrix(V)
-    if mat_mul(mat_mul(VF, G2), transpose(VF)) != as_fraction_matrix(G1):
-        raise InternalError("isometry witness fails its defining equation")
-    return V
+    return _in_input_basis([tuple(cands[a] for a in rows)], U1, U2, G1, G2)[0]
 
 
 def is_isometric(L1, L2, max_rank=None):
@@ -241,15 +231,20 @@ def _perm_closure(perms, degree):
     return seen
 
 
-def verify_aut_factorization(L, max_rank=None):
-    """Check the product shape of the isometry group against the blocks.
+def verify_aut_factorization(L, A, max_rank=None):
+    """Audit a claimed isometry group A of L against the blocks of L.
 
-    (a) |Aut| equals the product over classes of |Aut(representative)|^e
-    times e!, (b) every generator permutes the set of block spans, and
-    (c) the permutations induced within each class close up inside the
-    symmetric group on that class.
+    (a) Every claimed generator is an integer isometry of L, (b) |A| equals
+    the product over isometry classes of |Aut(representative)|^e times e!,
+    (c) every generator permutes the set of block spans, and (d) within
+    each class of e blocks the induced permutations generate all of S_e,
+    as those of the full group do.
     """
-    A = aut_group(L, max_rank)
+    _, (S,) = integer_scaled((L.gram,))
+    for X in A.generators:
+        if (len(X) != L.rank or any(len(r) != L.rank for r in X)
+                or not is_integral(X) or mat_mul(mat_mul(X, S), transpose(X)) != S):
+            return False
     D = decompose(L, max_rank)
     classes = _isometry_classes(D.blocks, max_rank)
     expected = 1
@@ -275,7 +270,6 @@ def verify_aut_factorization(L, max_rank=None):
                 return False
             induced[c].add(tuple(idxs.index(m) for m in images))
     for c, (_, idxs, _rep) in enumerate(classes):
-        closure = _perm_closure(induced[c], len(idxs))
-        if math.factorial(len(idxs)) % len(closure) != 0:
+        if len(_perm_closure(induced[c], len(idxs))) != math.factorial(len(idxs)):
             return False
     return True

@@ -131,7 +131,7 @@ def _cmd_aut(args):
     L = jsonio.parse_lattice(_load(args.input))
     group = aut_group(L)
     classes = grouped_decomposition(L)
-    ok = verify_aut_factorization(L)
+    ok = verify_aut_factorization(L, group)
     if args.verify and not ok:
         raise InternalError("verification failed: automorphism factorization audit")
     if args.pretty:

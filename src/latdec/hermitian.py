@@ -41,6 +41,7 @@ from .linalg import (
     mat_vec,
     rational_rank,
     row_span_contains,
+    to_int_matrix,
     transpose,
 )
 
@@ -209,11 +210,9 @@ def check_o_stability(module, block_rows):
     rows = tuple(tuple(int(x) for x in r) for r in block_rows)
     H = hnf_basis(rows)
     for A in module.action:
-        for r in rows:
-            img = mat_vec(A, r)
-            img = tuple(int(x) for x in img)
-            if not row_span_contains(H, img):
-                return False
+        A = to_int_matrix(A)  # the action of a validated module is integral
+        if not all(row_span_contains(H, mat_vec(A, r)) for r in rows):
+            return False
     return True
 
 

@@ -54,10 +54,6 @@ def vec_mat(v, M):
     return tuple(sum(map(mul, v, col)) for col in zip(*M))
 
 
-def mat_sub(A, B):
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
 def mat_neg(A):
     return tuple(tuple(-a for a in row) for row in A)
 

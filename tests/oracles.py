@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own enumeration and
 reduction code paths: short vectors come from exhaustive box searches,
-group orders from explicit closure, reducedness from a direct check of
+group orders from explicit closure, isometries from a full
+backtrack on Fraction pairings, reducedness from a direct check of
 the defining inequalities, LLL from a rational Gram-Schmidt table
 recomputed after every step, determinants, ranks and solutions from
 the permutation expansion and Cramer's rule, orthogonal splittings
@@ -291,6 +292,62 @@ def closure_order(generators, cap=10 ** 6):
                     assert len(seen) <= cap, "closure exceeded cap"
         frontier = nxt
     return len(seen)
+
+
+def o_stable(action, rows):
+    """Whether A r lies in the Z-span of the rows for every A and every row r.
+
+    The rows must be linearly independent.  x solves the normal equations
+    x (rows rows^T) = w rows^T by Cramer's rule; w = A r lies in the span
+    exactly when x * rows = w with x integral.
+    """
+    K = [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
+    for A in action:
+        for r in rows:
+            w = [sum(Fraction(a) * c for a, c in zip(row, r)) for row in A]
+            x = cramer_solve(K, [sum(a * b for a, b in zip(u, w)) for u in rows])
+            if [sum(c * u[j] for c, u in zip(x, rows)) for j in range(len(w))] != w \
+                    or any(c.denominator != 1 for c in x):
+                return False
+    return True
+
+
+def isometry_elements(G):
+    """Every isometry X (X G X^T = G) of a small Gram, by full enumeration.
+
+    A backtrack on R = U G U^T, U from lll_full_recompute, lists every W
+    with W R W^T = R: its rows have R's diagonal norms, so they are among
+    the box-searched short vectors and their negatives, and Fraction
+    pairings prune the partial rows.  Each W is carried back as U^-1 W U.
+    """
+    R, U = lll_full_recompute(G)
+    n = len(R)
+    vecs = [w for v in brute_short_vectors(R, max(R[i][i] for i in range(n)))
+            for w in (v, tuple(-x for x in v))]
+    levels = [[v for v in vecs if gram_value(R, v, v) == R[i][i]] for i in range(n)]
+    pairs = {}
+    sols = []
+
+    def pair(u, v):
+        if (u, v) not in pairs:
+            pairs[u, v] = gram_value(R, u, v)
+        return pairs[u, v]
+
+    def extend(rows):
+        i = len(rows)
+        if i == n:
+            sols.append(rows)
+            return
+        for v in levels[i]:
+            if all(pair(rows[j], v) == R[i][j] for j in range(i)):
+                extend(rows + [v])
+
+    extend([])
+    # U is unimodular, so U^-1 is integral and the products stay in Z
+    U_inv = tuple(tuple(int(x) for x in row) for row in inverse(as_fraction_matrix(U)))
+    elements = {mat_mul(mat_mul(U_inv, W), U) for W in sols}
+    assert len(elements) == len(sols), "conjugation collapsed distinct isometries"
+    return elements
 
 
 def random_unimodular(rng, n, max_abs=3, steps=12):

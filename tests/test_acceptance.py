@@ -266,9 +266,10 @@ def test_criterion_6_automorphism_factorization():
             continue
         U = random_unimodular(rng, total)
         L = ZLattice(conjugate(diag_sum(blocks), U))
-        assert verify_aut_factorization(L)
+        A = aut_group(L)
+        assert verify_aut_factorization(L, A)
         spans = {b.basis for b in decompose(L).blocks}
-        for W in aut_group(L).generators:
+        for W in A.generators:
             moved = {
                 hnf_basis(tuple(tuple(int(x) for x in vec_mat(r, W)) for r in span))
                 for span in spans

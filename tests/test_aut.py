@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from latdec.aut import (
+    IsometryGroup,
     aut_group,
     group_closure,
     grouped_decomposition,
@@ -26,10 +27,19 @@ from latdec.linalg import (
     transpose,
 )
 
-from oracles import closure_order, random_unimodular
+from oracles import closure_order, isometry_elements, random_unimodular
 
 A2 = ((2, 1), (1, 2))
 DET5 = ((2, 1), (1, 3))
+A3 = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+D4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+
+
+def e8():
+    G = [[2 * (i == j) for j in range(8)] for i in range(8)]
+    for a, b in ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)):
+        G[a - 1][b - 1] = G[b - 1][a - 1] = -1
+    return tuple(map(tuple, G))
 
 
 def eye(n):
@@ -112,6 +122,33 @@ class TestAutGroup:
                 assert mat_mul(mat_mul(WF, G), transpose(WF)) == tuple(
                     tuple(x / scale for x in row) for row in Gs)
 
+    def test_against_full_enumeration_oracle(self):
+        # the generators must generate exactly the group the oracle lists
+        rng = random.Random(55)
+        pool = (((1,),), ((2,),), ((3,),), A2, DET5, A3, D4)
+        for k in range(14):
+            blocks = []
+            while sum(map(len, blocks)) < rng.randint(2, 5):
+                g = rng.choice(pool)
+                if sum(map(len, blocks)) + len(g) <= 5:
+                    blocks.append(g)
+            G = diag_sum(blocks)
+            if k % 3 == 2:
+                G = tuple(tuple(Fraction(2, 3) * x for x in row) for row in G)
+            G = conjugate(G, random_unimodular(rng, len(G)))
+            A = aut_group(ZLattice(G))
+            elements = isometry_elements(G)
+            assert A.order == len(elements)
+            assert group_closure(A.generators) == elements
+
+    def test_exact_orders_beyond_closure(self):
+        # both orders exceed the cap of an element-by-element closure
+        rng = random.Random(8)
+        G = e8()
+        for L in (ZLattice(G), ZLattice(conjugate(G, random_unimodular(rng, 8)))):
+            assert aut_group(L).order == 696_729_600
+        assert aut_group(ZLattice(eye(8))).order == 2 ** 8 * math.factorial(8)
+
     def test_rank_guard(self, monkeypatch):
         with pytest.raises(RankTooLargeError):
             aut_group(ZLattice(eye(9)))
@@ -147,6 +184,17 @@ class TestIsometric:
                 WF = as_fraction_matrix(isometry_witness(L1, L2))
                 assert mat_mul(mat_mul(WF, L2.gram), transpose(WF)) == L1.gram
         assert differ
+
+    def test_rows_come_from_the_second_lattice(self):
+        # the rows of W are vectors of the second lattice: on these pairs
+        # the first lattice's short vectors do not contain them
+        for G, U in ((((7, 4, 3, 0), (4, 7, 3, -2), (3, 3, 6, 1), (0, -2, 1, 6)),
+                      ((-1, 1, 1, 0), (1, 0, -1, 0), (-1, 1, 0, 0), (0, -1, 0, 1))),
+                     (((3, -2, 3, -2), (-2, 7, -5, -2), (3, -5, 8, 1), (-2, -2, 1, 11)),
+                      ((0, 1, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0), (-1, 0, -1, 0)))):
+            L1, L2 = ZLattice(conjugate(G, U)), ZLattice(G)
+            WF = as_fraction_matrix(isometry_witness(L1, L2))
+            assert mat_mul(mat_mul(WF, L2.gram), transpose(WF)) == L1.gram
 
     def test_different_determinants(self):
         assert is_isometric(ZLattice(((2,),)), ZLattice(((4,),))) is False
@@ -185,13 +233,15 @@ class TestGroupedDecomposition:
 class TestFactorization:
     def test_hypercubic(self):
         for n in (1, 2, 3, 4):
-            assert verify_aut_factorization(ZLattice(eye(n))) is True
+            L = ZLattice(eye(n))
+            assert verify_aut_factorization(L, aut_group(L)) is True
 
     def test_mixed_blocks(self):
-        assert verify_aut_factorization(ZLattice(diag_sum([A2, ((2,),)]))) is True
+        L = ZLattice(diag_sum([A2, ((2,),)]))
+        assert verify_aut_factorization(L, aut_group(L)) is True
 
     def test_single_block(self):
-        assert verify_aut_factorization(ZLattice(A2)) is True
+        assert verify_aut_factorization(ZLattice(A2), aut_group(ZLattice(A2))) is True
 
     def test_fuzzed_presentations(self):
         rng = random.Random(90210)
@@ -211,4 +261,28 @@ class TestFactorization:
                 total += len(g)
             G = diag_sum(grams)
             U = random_unimodular(rng, total)
-            assert verify_aut_factorization(ZLattice(conjugate(G, U))) is True
+            L = ZLattice(conjugate(G, U))
+            assert verify_aut_factorization(L, aut_group(L)) is True
+
+    def test_rejects_a_proper_subgroup_of_the_right_order(self):
+        # the claimed order is |Aut(Z^3)| and every generator permutes the
+        # three blocks, but only through A_3: the claim generates 24 elements
+        signs = [tuple(tuple(-1 if i == j == k else int(i == j) for j in range(3))
+                       for i in range(3)) for k in range(3)]
+        cycle = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+        claim = IsometryGroup(tuple(signs) + (cycle,), 48)
+        assert len(group_closure(claim.generators)) == 24
+        assert verify_aut_factorization(ZLattice(eye(3)), claim) is False
+
+    def test_rejects_a_wrong_order(self):
+        L = ZLattice(diag_sum([A2, ((2,),)]))
+        A = aut_group(L)
+        for order in (A.order // 2, 2 * A.order):
+            assert verify_aut_factorization(L, IsometryGroup(A.generators, order)) is False
+
+    def test_rejects_a_generator_that_is_not_an_isometry(self):
+        L = ZLattice(A2)
+        A = aut_group(L)
+        for bad in (((1, 1), (0, 1)), ((Fraction(1, 2), 0), (0, 2)), ((1, 0, 0),)):
+            claim = IsometryGroup(A.generators + (bad,), A.order)
+            assert verify_aut_factorization(L, claim) is False

@@ -25,6 +25,7 @@ from latdec.linalg import (
     inverse,
     mat_mul,
     mat_vec,
+    rational_rank,
     to_int_matrix,
     transpose,
     vec_mat,
@@ -42,7 +43,7 @@ from builders import (
     sym3_ring,
     zxz,
 )
-from oracles import oracle_blocks, random_spd_gram, random_unimodular
+from oracles import o_stable, oracle_blocks, random_spd_gram, random_unimodular
 
 
 def q_module(G):
@@ -294,6 +295,26 @@ class TestOStability:
         # i maps 1 out of the span of 1
         M = regular_module(gaussian_order())
         assert check_o_stability(M, ((1, 0),)) is False
+
+    def test_against_fraction_oracle(self):
+        # blocks and the ideals O*v are stable; prefixes of a random basis
+        # mostly not, nor an ideal with one more row, which fails on that row
+        rng = random.Random(41)
+        verdicts = []
+        for R in (gaussian_order(), zxz(), matrix_order(2), klein_four_ring(),
+                  cyclic_group_ring(3), product_order(gaussian_order(), integers_order())):
+            for R in (R, change_basis(R, random_unimodular(rng, R.dim))):
+                M = regular_module(R)
+                U = random_unimodular(rng, M.rank)
+                spans = [b.basis for b in decompose_hermitian(M).blocks]
+                ideals = [hnf_basis(tuple(mat_vec(A, v) for A in M.action)) for v in U[:2]]
+                spans += ideals + [U[:k] for k in range(1, M.rank + 1)]
+                spans += [I + (w,) for I in ideals for w in U[-1:]
+                          if rational_rank(I + (w,)) == len(I) + 1]
+                for rows in spans:
+                    verdicts.append(o_stable(M.action, rows))
+                    assert check_o_stability(M, rows) is verdicts[-1]
+        assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
 
 
 class TestEdgePredicateEquivalence:
