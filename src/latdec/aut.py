@@ -240,19 +240,29 @@ def verify_aut_factorization(L, A, max_rank=None):
     each class of e blocks the induced permutations generate all of S_e,
     as those of the full group do.
     """
+    return _factorization(L, A, max_rank)[1]
+
+
+def _factorization(L, A, max_rank=None):
+    """grouped_decomposition(L) and verify_aut_factorization(L, A) at once.
+
+    Both come from one decomposition of L and one sorting of its blocks
+    into isometry classes.
+    """
+    D = decompose(L, max_rank)
+    classes = _isometry_classes(D.blocks, max_rank)
+    grouped = tuple((cls[0], len(cls[1])) for cls in classes)
     _, (S,) = integer_scaled((L.gram,))
     for X in A.generators:
         if (len(X) != L.rank or any(len(r) != L.rank for r in X)
                 or not is_integral(X) or mat_mul(mat_mul(X, S), transpose(X)) != S):
-            return False
-    D = decompose(L, max_rank)
-    classes = _isometry_classes(D.blocks, max_rank)
+            return grouped, False
     expected = 1
     for _, idxs, rep in classes:
         expected *= aut_group(rep, max_rank).order ** len(idxs)
         expected *= math.factorial(len(idxs))
     if expected != A.order:
-        return False
+        return grouped, False
     span_index = {b.basis: k for k, b in enumerate(D.blocks)}
     induced = [set() for _ in classes]
     for X in A.generators:
@@ -262,14 +272,13 @@ def verify_aut_factorization(L, A, max_rank=None):
                 tuple(int(y) for y in vec_mat(r, X)) for r in b.basis
             ))
             if img not in span_index:
-                return False
+                return grouped, False
             mapping.append(span_index[img])
         for c, (_, idxs, _rep) in enumerate(classes):
             images = [mapping[i] for i in idxs]
             if sorted(images) != sorted(idxs):
-                return False
+                return grouped, False
             induced[c].add(tuple(idxs.index(m) for m in images))
-    for c, (_, idxs, _rep) in enumerate(classes):
-        if len(_perm_closure(induced[c], len(idxs))) != math.factorial(len(idxs)):
-            return False
-    return True
+    ok = all(len(_perm_closure(induced[c], len(idxs))) == math.factorial(len(idxs))
+             for c, (_, idxs, _rep) in enumerate(classes))
+    return grouped, ok

@@ -16,6 +16,7 @@ never changes what is printed.
 """
 
 import argparse
+import functools
 import sys
 
 from . import jsonio
@@ -27,7 +28,7 @@ from .algebra import (
     check_ss,
     positivity_witness,
 )
-from .aut import aut_group, grouped_decomposition, verify_aut_factorization
+from .aut import _factorization, aut_group
 from .errors import (
     InternalError,
     InvalidInputError,
@@ -130,8 +131,7 @@ def _cmd_idempotents(args):
 def _cmd_aut(args):
     L = jsonio.parse_lattice(_load(args.input))
     group = aut_group(L)
-    classes = grouped_decomposition(L)
-    ok = verify_aut_factorization(L, group)
+    classes, ok = _factorization(L, group)
     if args.verify and not ok:
         raise InternalError("verification failed: automorphism factorization audit")
     if args.pretty:
@@ -225,7 +225,9 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def _build_parser():
+    """The parser, built on first use and then shared by every call."""
     parser = _Parser(prog="latdec",
                      description="exact orthogonal decomposition of lattices, "
                                  "modules, orders and polarised structures")
@@ -252,9 +254,8 @@ def _report_error(exc):
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -3,10 +3,11 @@
 The module V is presented as Q^N in a fixed basis with L = Z^N.  The
 algebra acts through one integer matrix per order basis element, and
 the form is tabulated as F[a][b] = f(b_a, b_b), each value a coordinate
-vector in the order basis.  Decomposition runs the shared lattice
-pipeline on the rational trace form; only the pairing whose vanishing
-is orthogonality is the finer, algebra-valued one: the d integer slices
-F_k[a][b] = s * F[a][b][k], built once per module.
+vector in the order basis.  An O-stable, f-orthogonal splitting is
+orthogonal for the trace form t, so decomposition runs the lattice
+pipeline on t and merges the Z-blocks that f couples: two rows r, s
+are coupled when t(A_k r, s) is nonzero for some action matrix A_k,
+which is when f(r, s) is nonzero.
 
 The public constructor validates a module in full; regular_module checks
 only positivity, the other laws being theorems for a validated order.
@@ -26,10 +27,12 @@ from .lattice import (
     OrthoDecomposition,
     ZLattice,
     decompose_pipeline,
+    merge_blocks,
     restrict_gram,
 )
 from .linalg import (
     as_fraction_matrix,
+    dot,
     first_nonpositive_minor,
     hnf_basis,
     identity,
@@ -43,6 +46,7 @@ from .linalg import (
     row_span_contains,
     to_int_matrix,
     transpose,
+    vec_mat,
 )
 
 
@@ -86,9 +90,6 @@ class HermitianModule:
         self.rank = len(form)
         self.form = form
         self.trace_gram = trace_gram
-        _, self.pairing = integer_scaled(
-            tuple(tuple(tuple(entry[k] for entry in row) for row in form)
-                  for k in range(order.dim)))
 
     def form_value(self, x, y):
         """f(x, y) as a coordinate vector in the order basis."""
@@ -223,22 +224,26 @@ def decompose_restriction(module, block_rows, max_rank=None):
     saturated and action-stable for the restriction to make sense; both
     hold for pipeline output and for the span of R*i with i a Hermitian
     idempotent.  The action is not restricted (it may fail to stay
-    faithful on a proper sublattice), only the forms are.
+    faithful on a proper sublattice): the coupling t(A_k r, s) is
+    evaluated on the rows in ambient coordinates.
     """
     rows = tuple(tuple(int(x) for x in r) for r in block_rows)
-    g = restrict_gram(module.trace_gram, rows)
-    forms = tuple(mat_mul(mat_mul(rows, F), transpose(rows)) for F in module.pairing)
-    return decompose_pipeline(g, forms, max_rank)
+    spans = decompose_pipeline(restrict_gram(module.trace_gram, rows), max_rank)
+    _, (T,) = integer_scaled((module.trace_gram,))
+    action = [to_int_matrix(A) for A in module.action]  # integral when validated
+    images, duals = {}, {}  # per row: the A_k r, and T s
+    for span in spans:
+        for r in span:
+            v = vec_mat(r, rows)
+            images[r] = [mat_vec(A, v) for A in action]
+            duals[r] = mat_vec(T, v)
+    return merge_blocks(len(rows), spans,
+                        lambda r, s: any(dot(a, duals[s]) for a in images[r]))
 
 
 def decompose_hermitian(module, max_rank=None):
-    """Unique splitting into pairwise f-orthogonal indecomposable sublattices.
-
-    Pipeline bookkeeping (reduction, enumeration bound, primitivity
-    norms) runs on the trace form; zero tests use the full form value,
-    through the module's integer pairing slices.
-    """
-    bases = decompose_pipeline(module.trace_gram, module.pairing, max_rank)
+    """Unique splitting into pairwise f-orthogonal indecomposable sublattices."""
+    bases = decompose_restriction(module, identity(module.rank), max_rank)
     for basis in bases:
         if not check_o_stability(module, basis):
             raise OStabilityError(

@@ -2,16 +2,19 @@
 
 A rank-2g lattice Z^N carries a rational complex-structure operator j
 (square minus identity) and an integral alternating polarisation psi
-with psi(jx, jy) = psi(x, y) and psi(x, jy) positive definite.  The
-endomorphisms of this data form an involutive order: the saturated
-integral commutant of j, with the adjoint involution a -> psi^-1 a^T
-psi.  Splitting 1 in that order into orthogonal Hermitian idempotents
-i_v splits the lattice into the unique family of j-stable, pairwise
-psi-orthogonal indecomposable sublattices i_v(Z^N).
+with psi(jx, jy) = psi(x, y) and psi(x, jy) positive definite.  A
+j-stable, psi-orthogonal splitting is orthogonal for the positive form
+phi(x, y) = psi(x, jy), so decompose_hodge runs the lattice pipeline on
+phi and merges the Z-blocks that psi couples: two rows r, s are coupled
+when psi(r, s) is nonzero.  The result is the unique family of j-stable,
+pairwise psi-orthogonal indecomposable sublattices, for any polarisation.
 
-PolarisedComplexStructure validates its input in full.  The endomorphism
-order is assembled unchecked: its laws and positivity are theorems, only
-the integrality of the adjoint depends on the input.
+The endomorphisms of the data form an involutive order: the saturated
+integral commutant of j, with the adjoint involution a -> psi^-1 a^T psi.
+endomorphism_order assembles it unchecked: its laws and positivity are
+theorems, only the integrality of the adjoint depends on the input.
+
+PolarisedComplexStructure validates its input in full.
 """
 
 import math
@@ -20,19 +23,17 @@ from fractions import Fraction
 
 from .algebra import FiniteDimAlgebra, Involution, InvolutiveOrder, unchecked
 from .errors import (
-    IncompleteDecompositionError,
     InternalError,
     InvalidHodgeStructureError,
     InvalidInputError,
     LatdecError,
     NoSolutionError,
     NotPositiveDefiniteError,
-    RankTooLargeError,
 )
-from .idempotents import decompose_unity
-from .lattice import DECOMPOSE_MAX_RANK, resolve_max_rank
+from .lattice import decompose_pipeline, merge_blocks
 from .linalg import (
     as_fraction_matrix,
+    dot,
     first_nonpositive_minor,
     hnf_basis,
     identity,
@@ -145,7 +146,8 @@ def _commutant_matrix_basis(j):
     return tuple(_unvec(v, N) for v in hnf_basis(kernel))
 
 
-def _endomorphism_order_with_basis(H):
+def endomorphism_order(H):
+    """Saturated integral commutant of j with the adjoint involution."""
     basis = _commutant_matrix_basis(H.j)
     d = len(basis)
     psi_f = as_fraction_matrix(H.psi)
@@ -185,14 +187,7 @@ def _endomorphism_order_with_basis(H):
 
     columns = [integral_coords(x, rosati_error) for x in coords[d * d + 1:]]
     S = tuple(tuple(columns[c][r] for c in range(d)) for r in range(d))
-    order = InvolutiveOrder(algebra, unchecked(Involution, algebra, S))
-    return order, basis
-
-
-def endomorphism_order(H):
-    """Saturated integral commutant of j with the adjoint involution."""
-    order, _ = _endomorphism_order_with_basis(H)
-    return order
+    return InvolutiveOrder(algebra, unchecked(Involution, algebra, S))
 
 
 def _restrict_structure(H, rows):
@@ -216,42 +211,16 @@ def _restrict_structure(H, rows):
 
 def decompose_hodge(H, max_rank=None):
     """The unique splitting into indecomposable polarised sub-structures."""
-    order, basis = _endomorphism_order_with_basis(H)
-    limit = resolve_max_rank(DECOMPOSE_MAX_RANK, max_rank)
-    if order.dim > limit:
-        raise RankTooLargeError(
-            "endomorphism order of dimension %d exceeds decomposition guard %d "
-            "(set LATDEC_MAX_RANK to override)" % (order.dim, limit))
-    idems = decompose_unity(order, limit).idems
-    N = H.rank
+    spans = decompose_pipeline(H.positivity_form(), max_rank)
+    cols = {s: mat_vec(H.psi, s) for span in spans for s in span}
     blocks = []
-    for v in idems:
-        M = [[0] * N for _ in range(N)]
-        for coeff, B in zip(v, basis):
-            if coeff:
-                for a in range(N):
-                    for b in range(N):
-                        M[a][b] += coeff * B[a][b]
-        span = hnf_basis(tuple(zip(*M)))
+    for span in merge_blocks(H.rank, spans, lambda r, s: dot(r, cols[s])):
         j_r, psi_r = _restrict_structure(H, span)
         try:
             sub = PolarisedComplexStructure(j_r, psi_r)
         except LatdecError as exc:
             raise InternalError("restricted block structure is invalid: %s" % exc)
         blocks.append(HodgeBlock(basis=span, structure=sub))
-    blocks.sort(key=lambda b: (len(b.basis), tuple(x for r in b.basis for x in r)))
-    stacked = tuple(r for b in blocks for r in b.basis)
-    if len(stacked) != N or not is_unimodular(stacked):
-        raise IncompleteDecompositionError(
-            "blocks do not stack to a unimodular basis; this is a bug")
-    for a in range(len(blocks)):
-        for b in range(a + 1, len(blocks)):
-            for r in blocks[a].basis:
-                for s in blocks[b].basis:
-                    if sum(r[p] * H.psi[p][q] * s[q]
-                           for p in range(N) for q in range(N)):
-                        raise InternalError(
-                            "blocks are not psi-orthogonal; this is a bug")
     return HodgeDecomposition(tuple(blocks))
 
 

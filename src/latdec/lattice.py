@@ -14,19 +14,19 @@ family of pairwise orthogonal indecomposable sublattices:
      a finite search of a few integer dot products per y (_witness_split).
      Every element of S is a sum of primitives of no larger norm, hence P
      still generates.
-  4. Group P into connected components under "f(u, v) is nonzero".
-  5. Span each component over Z (HNF bases).  The spans are already
-     pairwise orthogonal: primitives in different components pair to
-     zero in both orders (the pairing is symmetric, or Hermitian with
-     f(y, x) = f(x, y)*), and the pairing is Z-bilinear.
-  6. Assert the blocks stack to a unimodular basis, sort canonically.
+  4. Group P into connected components under "f(u, v) is nonzero" and
+     span each over Z (HNF bases).  The spans are already pairwise
+     orthogonal: primitives in different components pair to zero and the
+     pairing is Z-bilinear.
+  5. Assert the blocks stack to a unimodular basis, sort canonically.
 
-The same pipeline serves the Hermitian module case.  A pairing is a
-tuple of integer matrices F_k, all scaled by one lcm of denominators,
-with f(u, v)_k = u*F_k*v^T: the single matrix s*G for a lattice, one
-slice per order coordinate for a Hermitian module.  Reduction, bound
-and norms always come from a rational norm Gram (the trace form for a
-module); only the pairing whose vanishing defines orthogonality changes.
+Steps 4 and 5 are merge_blocks, which also serves every finer splitting.
+A splitting that is orthogonal for some finer relation (f-orthogonal and
+O-stable for a Hermitian module, psi-orthogonal and j-stable for a
+polarised structure) is orthogonal for one positive Gram (the trace
+form, psi(x, jy)), so each of its blocks is a union of the Z-blocks of
+that Gram.  The finest one joins the Z-blocks linked by a pair of rows
+that the finer relation couples.
 """
 
 import os
@@ -55,7 +55,6 @@ from .linalg import (
     mat_vec,
     first_nonpositive_minor,
     transpose,
-    vec_mat,
 )
 
 DECOMPOSE_MAX_RANK = 12
@@ -130,22 +129,15 @@ def restrict_gram(gram, basis_rows):
     return mat_mul(mat_mul(M, as_fraction_matrix(gram)), transpose(M))
 
 
-def _with_norms(v, cols):
-    """(v, f(v, v), -f(v, v)) from the columns F_k v^T of v."""
-    fvv = tuple([dot(v, c) for c in cols])
-    return v, fvv, tuple(-c for c in fvv)
-
-
-def _witness_split(cols, below):
+def _witness_split(col, below):
     """A y in below (all shorter than x) such that y or -y splits off from x.
 
-    cols are the columns F_k x^T, so f(y, x)_k = y . F_k x^T, and below
-    yields _with_norms triples.  As f(+-y, x -+ y) = +-f(y, x) - f(y, y),
-    the test is f(y, x) = +-f(y, y).
+    col is the column G x^T of the integer Gram G, so f(y, x) = y . col,
+    and below yields pairs (y, f(y, y)).  As f(+-y, x -+ y) = +-f(y, x) -
+    f(y, y), the test is |f(y, x)| = f(y, y).
     """
-    for y, plus, minus in below:
-        fyx = tuple([dot(y, c) for c in cols])
-        if fyx == plus or fyx == minus:
+    for y, norm in below:
+        if abs(dot(y, col)) == norm:
             return y
     return None
 
@@ -158,16 +150,15 @@ def is_primitive(L, x, short_vectors, bound=None):
     the list, it can be passed explicitly, else the largest norm present
     is used.  Raises BoundTooSmallError when norm(x) exceeds it.
     """
-    s, forms = integer_scaled((L.gram,))
-    norms = {v: dot(vec_mat(v, forms[0]), v) for v in short_vectors}
-    nx = dot(vec_mat(x, forms[0]), x)
+    s, (G,) = integer_scaled((L.gram,))
+    norms = {v: dot(mat_vec(G, v), v) for v in short_vectors}
+    nx = dot(mat_vec(G, x), x)
     limit = Fraction(bound) * s if bound is not None else max(norms.values(), default=0)
     if nx > limit:
         raise BoundTooSmallError("norm %s exceeds enumerated bound %s"
                                  % (Fraction(nx, s), Fraction(limit, s)))
-    below = [_with_norms(v, [mat_vec(F, v) for F in forms])
-             for v in short_vectors if norms[v] < nx]
-    return _witness_split([mat_vec(F, x) for F in forms], below) is None
+    below = [(v, norms[v]) for v in short_vectors if norms[v] < nx]
+    return _witness_split(mat_vec(G, x), below) is None
 
 
 def _connected_components(items, related):
@@ -190,8 +181,28 @@ def _connected_components(items, related):
     return list(groups.values())
 
 
-def decompose_pipeline(gram, forms, max_rank=None):
-    """Sorted HNF block bases, from a rational norm Gram and an integer pairing."""
+def merge_blocks(n, spans, coupled):
+    """Sorted HNF bases of the unions of spans that coupled rows link.
+
+    Two spans are joined when coupled(r, s) is nonzero for a row r of one
+    and a row s of the other; the relation must be symmetric on spans.
+    The joined spans must stack to a unimodular basis of Z^n.
+    """
+    def related(a, b):
+        return any(coupled(r, s) for r in a for s in b)
+
+    merged = [hnf_basis([r for span in group for r in span])
+              for group in _connected_components(spans, related)]
+    merged.sort(key=lambda s: (len(s), tuple(x for row in s for x in row)))
+    stacked = tuple(row for s in merged for row in s)
+    if len(stacked) != n or not is_unimodular(stacked):
+        raise IncompleteDecompositionError(
+            "blocks do not stack to a unimodular basis; this is a bug")
+    return tuple(merged)
+
+
+def decompose_pipeline(gram, max_rank=None):
+    """Sorted HNF bases of the Z-blocks of a positive definite rational Gram."""
     n = len(gram)
     limit = resolve_max_rank(DECOMPOSE_MAX_RANK, max_rank)
     if n > limit:
@@ -202,36 +213,25 @@ def decompose_pipeline(gram, forms, max_rank=None):
     reduced = lll_reduce(gram)
     bound = max(reduced[0][i][i] for i in range(n))
     shorts = enumerate_short_vectors(gram, bound, reduced)
-    _, (Gs,) = integer_scaled((gram,))
-    norms = [dot(vec_mat(v, Gs), v) for v in shorts]
-    done = []  # _with_norms of the vectors before x
-    cols = {}  # the primitives, with their columns
+    _, (G,) = integer_scaled((gram,))
+    done = []  # (y, f(y, y)) for the vectors y before x
+    cols = {}  # the primitives, with their columns G x^T
     level = 0  # done[:level] are the vectors of smaller norm than x
     for i, x in enumerate(shorts):
-        if norms[i] != norms[level]:
+        col = mat_vec(G, x)
+        norm = dot(x, col)
+        if i and norm != done[level][1]:
             level = i
-        cx = [mat_vec(F, x) for F in forms]
-        if _witness_split(cx, islice(done, level)) is None:
-            cols[x] = cx
-        done.append(_with_norms(x, cx))
-
-    def related(u, v):
-        return any(dot(v, c) for c in cols[u])
-
-    components = _connected_components(list(cols), related)
-    spans = [hnf_basis(comp) for comp in components]
-    spans.sort(key=lambda s: (len(s), tuple(x for row in s for x in row)))
-    stacked = tuple(row for s in spans for row in s)
-    if len(stacked) != n or not is_unimodular(stacked):
-        raise IncompleteDecompositionError(
-            "blocks do not stack to a unimodular basis; this is a bug")
-    return tuple(spans)
+        if _witness_split(col, islice(done, level)) is None:
+            cols[x] = col
+        done.append((x, norm))
+    return merge_blocks(n, [(x,) for x in cols], lambda r, s: dot(s, cols[r]))
 
 
 def decompose(L, max_rank=None):
     """Unique orthogonal decomposition into indecomposable sublattices."""
     G = L.gram
-    bases = decompose_pipeline(G, integer_scaled((G,))[1], max_rank)
+    bases = decompose_pipeline(G, max_rank)
     blocks = tuple(Block(basis=b, gram=restrict_gram(G, b)) for b in bases)
     return OrthoDecomposition(blocks)
 

@@ -7,15 +7,19 @@ backtrack on Fraction pairings, reducedness from a direct check of
 the defining inequalities, LLL from a rational Gram-Schmidt table
 recomputed after every step, determinants, ranks and solutions from
 the permutation expansion and Cramer's rule, orthogonal splittings
-from Fraction pairings evaluated straight from the definition, and the
-algebra and involution laws from Fraction products of basis elements.
+from Fraction pairings evaluated straight from the definition, polarised
+splittings from idempotents of the endomorphism order, and the algebra
+and involution laws from Fraction products of basis elements.
 """
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from latdec.errors import NotPositiveDefiniteError
+from latdec.hodge import _commutant_matrix_basis, endomorphism_order
+from latdec.idempotents import decompose_unity
 from latdec.linalg import as_fraction_matrix, gram_value, hnf_basis, inverse, mat_mul
 
 
@@ -99,18 +103,22 @@ def canonical(v):
 
 
 def brute_short_vectors(G, bound):
-    """Exhaustive exact search, one representative per +- pair, sorted."""
+    """Exhaustive exact search, one representative per +- pair, sorted.
+
+    Norms are taken in integers, against G times the lcm s of its
+    denominators, and compared with s * bound.
+    """
     Gf = as_fraction_matrix(G)
-    bound = Fraction(bound)
+    s = math.lcm(*(x.denominator for row in Gf for x in row))
+    Gs = [[int(x * s) for x in row] for row in Gf]
+    limit = Fraction(bound) * s
     radii = _box_radii(G, bound)
-    hits = set()
+    hits = {}
     for v in itertools.product(*(range(-r, r + 1) for r in radii)):
-        if not any(v):
-            continue
-        q = gram_value(Gf, v, v)
-        if 0 < q <= bound:
-            hits.add(canonical(v))
-    return sorted(hits, key=lambda v: (gram_value(Gf, v, v), v))
+        q = sum(a * sum(map(operator.mul, row, v)) for a, row in zip(v, Gs) if a)
+        if 0 < q <= limit:
+            hits[canonical(v)] = q
+    return sorted(hits, key=lambda v: (hits[v], v))
 
 
 def brute_short_vectors_big(G, bound):
@@ -252,12 +260,9 @@ def oracle_blocks(gram, pair):
     connected components, span the blocks.  Returns a frozenset of HNFs.
     """
     Gf = as_fraction_matrix(gram)
-
-    def norm(v):
-        return gram_value(Gf, v, v)
-
     ball = brute_short_vectors(gram, max(Gf[i][i] for i in range(len(Gf))))
-    prims = [x for x in ball if not splits_off(x, ball, norm, pair)]
+    norms = {v: gram_value(Gf, v, v) for v in ball}
+    prims = [x for x in ball if not splits_off(x, ball, norms.__getitem__, pair)]
     spans = []
     while prims:
         comp = [prims.pop()]
@@ -266,6 +271,31 @@ def oracle_blocks(gram, pair):
             prims = [v for v in prims if v not in linked]
             comp.extend(linked)
         spans.append(hnf_basis(comp))
+    return frozenset(spans)
+
+
+def hodge_by_order(H):
+    """Block spans of a polarised structure through its endomorphism order.
+
+    Splits 1 in the order into Hermitian idempotents and spans the image
+    of each as a matrix in the saturated commutant basis of j.  The order
+    has dimension up to (2g)^2 / 2, so its guard is lifted.  Raises
+    InvalidHodgeStructureError when the adjoint leaves the order, as it
+    may for a polarisation that is not principal.  Returns a frozenset
+    of HNFs.
+    """
+    order = endomorphism_order(H)
+    basis = _commutant_matrix_basis(H.j)
+    N = H.rank
+    spans = set()
+    for v in decompose_unity(order, max_rank=order.dim).idems:
+        M = [[0] * N for _ in range(N)]
+        for coeff, B in zip(v, basis):
+            if coeff:
+                for a in range(N):
+                    for b in range(N):
+                        M[a][b] += coeff * B[a][b]
+        spans.add(hnf_basis(tuple(zip(*M))))
     return frozenset(spans)
 
 

@@ -399,7 +399,9 @@ class TestHodgeCommand:
         assert code == 2
         assert "minor index: 1" in err
 
-    def test_non_integral_adjoint_exits_2(self, cli):
+    def test_non_integral_adjoint_splits_into_planes(self, cli):
+        # the adjoint leaves the endomorphism order, yet the splitting
+        # exists for any polarisation
         bad = {
             "g": 2,
             "J": [["0", "-1", "0", "0"],
@@ -408,9 +410,10 @@ class TestHodgeCommand:
                   ["0", "0", "1", "0"]],
             "psi": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]],
         }
-        code, _, err = cli("hodge", bad)
-        assert code == 2
-        assert "adjoint" in err
+        code, out, _ = cli("hodge", bad)
+        assert code == 0
+        assert [b["basis"] for b in json.loads(out)["blocks"]] == [
+            [[0, 0, 1, 0], [0, 0, 0, 1]], [[1, 0, 0, 0], [0, 1, 0, 0]]]
 
     def test_pretty(self, cli):
         code, out, _ = cli("hodge", PRODUCT_HODGE, "--pretty")
@@ -431,3 +434,25 @@ class TestModuleInvocation:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert len(json.loads(proc.stdout)["blocks"]) == 3
+
+
+class TestCallsInARow:
+    def test_each_call_prints_what_it_prints_alone(self, tmp_path, capsys):
+        # one parser serves every in-process call, so no flag of one call
+        # may reach the next; each call alone is a fresh interpreter
+        calls = [("aut", A2, "--pretty"), ("hodge", PRODUCT_HODGE),
+                 ("decompose", I3, "--verify"), ("hodge", ELLIPTIC, "--pretty"),
+                 ("aut", A2), ("algebra-check", DUAL_NUMBERS)]
+        argvs = []
+        for k, (command, payload, *flags) in enumerate(calls):
+            path = tmp_path / ("input%d.json" % k)
+            path.write_text(json.dumps(payload))
+            argvs.append([command, str(path), *flags])
+        in_a_row = []
+        for argv in argvs:
+            code = main(argv)
+            in_a_row.append((code, capsys.readouterr().out))
+        for argv, got in zip(argvs, in_a_row):
+            alone = subprocess.run([sys.executable, "-m", "latdec.cli", *argv],
+                                   capture_output=True, text=True)
+            assert got == (alone.returncode, alone.stdout)

@@ -167,7 +167,6 @@ class TestRegularModuleMatchesValidated:
             assert M.action == V.action
             assert M.form == V.form
             assert M.trace_gram == V.trace_gram == star_trace_form(R.algebra, R.involution)
-            assert M.pairing == V.pairing
             assert M.rank == V.rank == R.dim
 
     def test_same_rejection_of_a_nonpositive_involution(self):
@@ -284,6 +283,24 @@ class TestRationalFormAgainstOracle:
                 expected = oracle_blocks(g, lambda u, v, rows=rows: M.form_value(
                     vec_mat(u, rows), vec_mat(v, rows)))
                 assert frozenset(decompose_restriction(M, rows)) == expected
+
+
+class TestRegularModuleAgainstOracle:
+    def test_each_builder_order_in_three_bases(self):
+        # the merged trace-form blocks against the splitting read off the
+        # algebra-valued form straight from the definition
+        rng = random.Random(3)
+        for R in (integers_order(), gaussian_order(), zxz(), matrix_order(2),
+                  matrix_order(3), cyclic_group_ring(3), cyclic_group_ring(5),
+                  klein_four_ring(), sym3_ring(),
+                  product_order(matrix_order(2), gaussian_order()),
+                  product_order(gaussian_order(), integers_order())):
+            for S in (R,
+                      change_basis(R, random_unimodular(rng, R.dim, max_abs=1, steps=6)),
+                      change_basis(R, random_unimodular(rng, R.dim, max_abs=2, steps=4))):
+                M = regular_module(S)
+                assert decompose_hermitian(M).bases() == oracle_blocks(
+                    M.trace_gram, M.form_value)
 
 
 class TestOStability:

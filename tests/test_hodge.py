@@ -23,7 +23,7 @@ from latdec.hodge import (
 from latdec.idempotents import blocks_from_idempotents, decompose_unity, idempotents_from_blocks
 from latdec.linalg import as_fraction_matrix, hnf_basis, identity, inverse, mat_mul, transpose, vec_mat
 from builders import gaussian_order
-from oracles import random_unimodular
+from oracles import hodge_by_order, random_unimodular
 
 J0 = ((0, -1), (1, 0))
 PSI0 = ((0, 1), (-1, 0))
@@ -40,6 +40,19 @@ def diag_join(A, B):
     top = tuple(tuple(A[i]) + (0,) * m for i in range(n))
     bottom = tuple((0,) * n + tuple(B[i]) for i in range(m))
     return top + bottom
+
+
+def join(*parts):
+    out = parts[0]
+    for part in parts[1:]:
+        out = diag_join(out, part)
+    return out
+
+
+def planes(g):
+    """The coordinate planes e_(2p+1) e_(2p+2) of Z^2g."""
+    return {tuple(tuple(int(c == 2 * p + i) for c in range(2 * g)) for i in range(2))
+            for p in range(g)}
 
 
 def elliptic():
@@ -236,16 +249,63 @@ class TestDecompose:
     def test_deterministic(self):
         assert decompose_hodge(product_structure()) == decompose_hodge(product_structure())
 
-    def test_rank_guard_applies_to_the_order(self):
+    def test_rank_guard_applies_to_the_rank(self):
         with pytest.raises(RankTooLargeError,
-                           match="endomorphism order of dimension 8 exceeds decomposition guard 4"):
-            decompose_hodge(square_structure(), max_rank=4)
+                           match="rank 4 exceeds decomposition guard 3"):
+            decompose_hodge(square_structure(), max_rank=3)
 
     def test_invalid_adjoint_propagates(self):
         bad = PolarisedComplexStructure(
             diag_join(J0, J0), diag_join(PSI0, ((0, 2), (-2, 0))))
         with pytest.raises(InvalidHodgeStructureError):
-            decompose_hodge(bad)
+            endomorphism_order(bad)
+        assert decompose_hodge(bad).bases() == {
+            ((1, 0, 0, 0), (0, 1, 0, 0)),
+            ((0, 0, 1, 0), (0, 0, 0, 1)),
+        }
+
+
+class TestAnyPolarisation:
+    """Inputs the endomorphism order cannot split: the adjoint leaves a
+    non-principal order, or the order outgrows the rank guard."""
+
+    def test_planted_non_principal_planes(self):
+        rng = random.Random(71)
+        for second in (J0, J2):
+            for k in (2, 3):
+                weighted = tuple(tuple(k * x for x in row) for row in PSI0)
+                H = PolarisedComplexStructure(diag_join(J0, second),
+                                              diag_join(PSI0, weighted))
+                with pytest.raises(InvalidHodgeStructureError, match="adjoint"):
+                    endomorphism_order(H)
+                D = decompose_hodge(H)
+                assert D.bases() == planes(2)
+                assert [b.structure.psi for b in D.blocks] == [weighted, PSI0]
+                for _ in range(5):
+                    U = random_unimodular(rng, 4)
+                    moved = transport(H, U)
+                    E = decompose_hodge(moved)
+                    assert E.bases() == transported_bases(D, U)
+                    assert verify_hodge_decomposition(moved, E)
+
+    def test_cube_of_a_curve_at_the_default_guard(self):
+        H = PolarisedComplexStructure(join(J0, J0, J0), join(PSI0, PSI0, PSI0))
+        assert endomorphism_order(H).dim == 18
+        D = decompose_hodge(H)
+        assert D.bases() == planes(3)
+        U = random_unimodular(random.Random(73), 6)
+        moved = transport(H, U)
+        E = decompose_hodge(moved)
+        assert E.bases() == transported_bases(D, U)
+        assert verify_hodge_decomposition(moved, E)
+
+    def test_against_the_order_route(self):
+        rng = random.Random(79)
+        for factors in ((J0, J0), (J0, J2), (J0, JGEN), (J2, J2), (J2, JGEN),
+                        (JGEN, JGEN), (J0, J0, J0), (JGEN, JGEN, J0), (J0, J2, JGEN)):
+            H = PolarisedComplexStructure(join(*factors), join(*[PSI0] * len(factors)))
+            moved = transport(H, random_unimodular(rng, H.rank))
+            assert decompose_hodge(moved).bases() == hodge_by_order(moved)
 
 
 class TestVerify:

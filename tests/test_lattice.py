@@ -7,6 +7,7 @@ import pytest
 
 from latdec.errors import (
     BoundTooSmallError,
+    IncompleteDecompositionError,
     InvalidInputError,
     NotPositiveDefiniteError,
     RankTooLargeError,
@@ -18,6 +19,7 @@ from latdec.lattice import (
     decompose,
     is_indecomposable,
     is_primitive,
+    merge_blocks,
     restrict_gram,
     verify_decomposition,
 )
@@ -203,6 +205,31 @@ class TestDecomposeRational:
             Gf = as_fraction_matrix(G)
             expected = oracle_blocks(G, lambda u, v: (gram_value(Gf, u, v),))
             assert decompose(ZLattice(G)).bases() == expected
+
+
+class TestMergeBlocks:
+    def test_joins_coupled_spans_and_sorts(self):
+        spans = (((1, 0, 0),), ((0, 1, 0),), ((0, 0, 1),))
+
+        def coupled(r, s):  # links e1 and e3 only
+            return r[0] * s[2] + r[2] * s[0]
+
+        assert merge_blocks(3, spans, coupled) == (
+            ((0, 1, 0),), ((1, 0, 0), (0, 0, 1)))
+
+    def test_uncoupled_spans_are_only_sorted(self):
+        assert merge_blocks(2, (((1, 0),), ((0, 1),)), lambda r, s: 0) == (
+            ((0, 1),), ((1, 0),))
+
+    def test_joined_span_is_in_hnf(self):
+        assert merge_blocks(2, (((1, 1),), ((0, -1),)), lambda r, s: 1) == (
+            ((1, 0), (0, 1)),)
+
+    def test_spans_must_stack_to_a_unimodular_basis(self):
+        with pytest.raises(IncompleteDecompositionError):
+            merge_blocks(2, (((2, 0),), ((0, 1),)), lambda r, s: 0)
+        with pytest.raises(IncompleteDecompositionError):
+            merge_blocks(2, (((1, 0),),), lambda r, s: 0)
 
 
 class TestDecompose:
