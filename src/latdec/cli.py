@@ -36,11 +36,10 @@ from .errors import (
     PreconditionError,
     RankTooLargeError,
 )
-from .hermitian import check_o_stability, decompose_hermitian
+from .hermitian import decompose_hermitian, verify_hermitian_decomposition
 from .hodge import decompose_hodge, verify_hodge_decomposition
 from .idempotents import blocks_from_idempotents, decompose_unity, idempotents_from_blocks
 from .lattice import decompose, verify_decomposition
-from .linalg import is_unimodular
 
 
 class _UsageError(Exception):
@@ -95,12 +94,8 @@ def _cmd_decompose(args):
 def _cmd_hermitian(args):
     module = jsonio.parse_hermitian(_load(args.input))
     D = decompose_hermitian(module)
-    if args.verify:
-        stacked = tuple(r for b in D.blocks for r in b.basis)
-        complete = len(stacked) == module.rank and is_unimodular(stacked)
-        stable = all(check_o_stability(module, b.basis) for b in D.blocks)
-        if not (complete and stable):
-            raise InternalError("verification failed: Hermitian block audit")
+    if args.verify and not verify_hermitian_decomposition(module, D):
+        raise InternalError("verification failed: Hermitian block audit")
     if args.pretty:
         return _pretty_block_report([(b.basis, b.gram) for b in D.blocks])
     return jsonio.dumps({"blocks": [

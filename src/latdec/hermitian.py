@@ -11,6 +11,8 @@ which is when f(r, s) is nonzero.
 
 The public constructor validates a module in full; regular_module checks
 only positivity, the other laws being theorems for a validated order.
+verify_hermitian_decomposition audits a claimed splitting on the trace
+form: t-orthogonal O-stable blocks are f-orthogonal.
 """
 
 from fractions import Fraction
@@ -26,6 +28,7 @@ from .lattice import (
     Block,
     OrthoDecomposition,
     ZLattice,
+    audit_blocks,
     decompose_pipeline,
     merge_blocks,
     restrict_gram,
@@ -251,3 +254,13 @@ def decompose_hermitian(module, max_rank=None):
     g = module.trace_gram
     blocks = tuple(Block(basis=b, gram=restrict_gram(g, b)) for b in bases)
     return OrthoDecomposition(blocks)
+
+
+def verify_hermitian_decomposition(module, decomposition):
+    """Read-only audit: audit_blocks on the trace Gram, then each block
+    O-stable (with t-orthogonality, that is f-orthogonality) and
+    indecomposable."""
+    return audit_blocks(module.trace_gram, decomposition.blocks) and all(
+        check_o_stability(module, b.basis)
+        and len(decompose_restriction(module, b.basis)) == 1
+        for b in decomposition.blocks)

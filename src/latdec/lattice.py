@@ -125,8 +125,10 @@ class OrthoDecomposition:
 
 
 def restrict_gram(gram, basis_rows):
-    M = tuple(tuple(Fraction(x) for x in row) for row in basis_rows)
-    return mat_mul(mat_mul(M, as_fraction_matrix(gram)), transpose(M))
+    """The Gram M*G*M^T of the integer rows M, formed on G scaled to integers."""
+    s, (G,) = integer_scaled((gram,))
+    return tuple(tuple(Fraction(x, s) for x in row)
+                 for row in mat_mul(mat_mul(basis_rows, G), transpose(basis_rows)))
 
 
 def _witness_split(col, below):
@@ -240,29 +242,25 @@ def is_indecomposable(L, max_rank=None):
     return len(decompose(L, max_rank).blocks) == 1
 
 
+def audit_blocks(gram, blocks):
+    """Whether the blocks are HNF, carry their restricted Grams, are pairwise
+    orthogonal (one column G r^T of the integer-scaled gram per row) and
+    stack to a unimodular basis."""
+    _, (G,) = integer_scaled((gram,))
+    if any(hnf_basis(b.basis) != b.basis or b.gram != restrict_gram(gram, b.basis)
+           for b in blocks):
+        return False
+    cols = []  # the columns of the rows of the blocks before b
+    for b in blocks:
+        if any(dot(s, col) for s in b.basis for col in cols):
+            return False
+        cols.extend(mat_vec(G, r) for r in b.basis)
+    stacked = tuple(row for b in blocks for row in b.basis)
+    return len(stacked) == len(gram) and is_unimodular(stacked)
+
+
 def verify_decomposition(L, decomposition):
     """Read-only audit: orthogonality, completeness, per-block indecomposability."""
-    G = L.gram
-    blocks = decomposition.blocks
-    for b in blocks:
-        if hnf_basis(b.basis) != b.basis:
-            return False
-        if b.gram != restrict_gram(G, b.basis):
-            return False
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            for r in blocks[i].basis:
-                for s in blocks[j].basis:
-                    if gram_value(G, r, s) != 0:
-                        return False
-    stacked = tuple(row for b in blocks for row in b.basis)
-    if len(stacked) != L.rank or not is_unimodular(stacked):
-        return False
-    for b in blocks:
-        try:
-            sub = ZLattice(b.gram)
-        except NotPositiveDefiniteError:
-            return False
-        if len(decompose(sub).blocks) != 1:
-            return False
-    return True
+    # a block of an audited splitting has a positive definite Gram
+    return audit_blocks(L.gram, decomposition.blocks) and all(
+        len(decompose_pipeline(b.gram)) == 1 for b in decomposition.blocks)

@@ -13,13 +13,17 @@ solve_rational, solve_rational_columns (many right-hand sides against
 one matrix) and first_nonpositive_minor are thin readings of it.
 
 lll_reduce is Cohen's integral LLL (Alg. 2.6.7): it updates integer
-Gram-Schmidt data in place.  integer_scaled gives rational matrices one
-common integer scale, the form in which the decomposition pipeline pairs.
+Gram-Schmidt data in place.  enumerate_short_vectors is Fincke-Pohst
+(Math. Comp. 44 (1985)) on the same integral data of the reduced Gram:
+every quantity in the search is an integer, and each coordinate range is
+one isqrt and two floor divisions.  integer_scaled gives rational
+matrices one common integer scale, the form in which the decomposition
+pipeline pairs.
 """
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from .errors import InvalidInputError, NoSolutionError, NotPositiveDefiniteError
 
@@ -41,12 +45,12 @@ def transpose(M):
 def mat_mul(A, B):
     """Matrix product, exact in whatever scalar type the entries carry."""
     Bt = transpose(B)
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in Bt) for row in A)
+    return tuple(tuple(sum(map(mul, row, col)) for col in Bt) for row in A)
 
 
 def mat_vec(M, v):
     """Apply M to the column vector v, returning a coordinate tuple."""
-    return tuple(sum(m * x for m, x in zip(row, v)) for row in M)
+    return tuple(sum(map(mul, row, v)) for row in M)
 
 
 def vec_mat(v, M):
@@ -310,15 +314,6 @@ def left_integer_kernel(M):
     return U[len(H):]
 
 
-def _gso(G):
-    """Squared norms B and coefficients mu of G, read off _integral_gso."""
-    scale, (A,) = integer_scaled((G,))
-    d, lam = _integral_gso(A, scale)
-    n = len(G)
-    B = [Fraction(d[i + 1], d[i] * scale) for i in range(n)]
-    return B, [[Fraction(x, d[j + 1]) for j, x in enumerate(row)] for row in lam]
-
-
 def _integral_gso(A, scale):
     """Integral Gram-Schmidt data of an integer Gram matrix A (Cohen 2.6.7).
 
@@ -397,22 +392,6 @@ def lll_reduce(G, delta=LLL_DELTA):
     return Gred, Ured
 
 
-def _floor_sqrt(r):
-    # floor(sqrt(r)) for a nonnegative Fraction; isqrt(floor(r)) is exact
-    # because (m+1)^2 > floor(r) already forces (m+1)^2 >= floor(r)+1 > r.
-    return math.isqrt(r.numerator // r.denominator)
-
-
-def _floor_sqrt_plus(r, c):
-    """floor(sqrt(r) + c) for Fractions r >= 0, c arbitrary; exact."""
-    m = _floor_sqrt(r)
-    k = math.floor(m + c)
-    t = k + 1 - c
-    if t <= 0 or t * t <= r:
-        return k + 1
-    return k
-
-
 def canonical_sign(v):
     """Pick the representative of {v, -v} whose first nonzero entry is > 0."""
     for x in v:
@@ -426,40 +405,53 @@ def enumerate_short_vectors(G, bound, reduced=None):
 
     G must be symmetric positive definite with rational entries.  The
     result is sorted by (norm, lexicographic order) and each vector is
-    sign-normalised so its first nonzero coordinate is positive.  The
-    interval bounds of the search are computed exactly (integer square
-    roots), so acceptance never depends on rounding.  reduced is the
-    (G', U) of lll_reduce(G) when the caller already has it.
+    sign-normalised so its first nonzero coordinate is positive.  reduced
+    is the (G', U) of lll_reduce(G) when the caller already has it.
+
+    Fincke-Pohst in integers on the reduced basis.  With s*G' = A and
+    the integral Gram-Schmidt data d, lam of A, a vector x in reduced
+    coordinates has norm sum t_i^2 / (s*d_i*d_(i+1)), where t_i =
+    d_(i+1)*x_i + sum_(j>i) lam[j][i]*x_j.  For bound = P/Q and L the lcm
+    of the d_i*d_(i+1), the budget is s*P*L and level i spends w_i*t_i^2
+    of it, w_i = Q*L / (d_i*d_(i+1)); the range of x_i is one isqrt and
+    two floor divisions.  The highest nonzero reduced coordinate is kept
+    positive, which visits each +- pair once, and a leaf's norm is its
+    spent budget over Q*L*s.
     """
     n = len(G)
     if not is_symmetric(G):
         raise InvalidInputError("gram: matrix is not symmetric")
-    bound = Fraction(bound)
-    if bound <= 0:
+    P, Q = Fraction(bound).as_integer_ratio()
+    if P <= 0 or not n:
         return ()
     Gred, U = reduced or lll_reduce(G)
-    B, mu = _gso(Gred)
-    found = set()
+    s, (A,) = integer_scaled((Gred,))
+    d, lam = _integral_gso(A, s)
+    L = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
+    w = [Q * L // (d[i] * d[i + 1]) for i in range(n)]
+    budget = s * P * L
     x = [0] * n
+    found = []  # (spent budget, canonical vector)
 
-    def descend(i, remaining):
-        if i < 0:
-            if any(x):
-                found.add(canonical_sign(vec_mat(x, U)))
-            return
-        c = Fraction(0)
-        for j in range(i + 1, n):
-            if x[j]:
-                c += mu[j][i] * x[j]
-        r = remaining / B[i]
-        hi = _floor_sqrt_plus(r, -c)
-        lo = -_floor_sqrt_plus(r, c)
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            descend(i - 1, remaining - B[i] * (xi + c) * (xi + c))
+    def descend(i, left, v, top):
+        # on entry v = sum_(j>i) x_j U_j; top: every x_j with j > i is zero
+        D, wi, Ui = d[i + 1], w[i], U[i]
+        c = sum(lam[j][i] * x[j] for j in range(i + 1, n) if x[j])
+        k = math.isqrt(left // wi)
+        lo = 0 if top else -((k + c) // D)
+        v = tuple(a + lo * b for a, b in zip(v, Ui))  # then x_i*U_i added
+        for xi in range(lo, (k - c) // D + 1):
+            t = D * xi + c
+            rest = left - wi * t * t
+            if i:
+                x[i] = xi
+                descend(i - 1, rest, v, top and not xi)
+            elif xi or not top:
+                found.append((budget - rest, canonical_sign(v)))
+            v = tuple(map(add, v, Ui))
         x[i] = 0
 
-    descend(n - 1, bound)
-    del descend  # a self-referencing closure: free it and found without the GC
-    _, (Gs,) = integer_scaled((G,))
-    return tuple(sorted(found, key=lambda v: (dot(vec_mat(v, Gs), v), v)))
+    descend(n - 1, budget, (0,) * n, True)
+    del descend  # a self-referencing closure: free it without the GC
+    found.sort()
+    return tuple(v for _, v in found)

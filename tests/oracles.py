@@ -1,15 +1,16 @@
 """Independent reference computations used to pin expected test values.
 
 Everything here deliberately avoids the library's own enumeration and
-reduction code paths: short vectors come from exhaustive box searches,
-group orders from explicit closure, isometries from a full
-backtrack on Fraction pairings, reducedness from a direct check of
-the defining inequalities, LLL from a rational Gram-Schmidt table
-recomputed after every step, determinants, ranks and solutions from
-the permutation expansion and Cramer's rule, orthogonal splittings
-from Fraction pairings evaluated straight from the definition, polarised
-splittings from idempotents of the endomorphism order, and the algebra
-and involution laws from Fraction products of basis elements.
+reduction code paths: short vectors come from exhaustive box searches
+and from a Fincke-Pohst enumeration in Fractions, group orders from
+explicit closure, isometries from a full backtrack on Fraction pairings,
+reducedness from a direct check of the defining inequalities, LLL from a
+rational Gram-Schmidt table recomputed after every step, determinants,
+ranks and solutions from the permutation expansion and Cramer's rule,
+orthogonal splittings from Fraction pairings evaluated straight from the
+definition, polarised splittings from idempotents of the endomorphism
+order, and the algebra and involution laws from Fraction products of
+basis elements.
 """
 
 import itertools
@@ -158,6 +159,51 @@ def brute_short_vectors_big(G, bound):
             hits.add(canonical(tuple(v)))
     Gf = as_fraction_matrix(G)
     return sorted(hits, key=lambda v: (gram_value(Gf, v, v), v))
+
+
+def _floor_sqrt_plus(r, c):
+    """floor(sqrt(r) + c) for Fractions r >= 0, c arbitrary; exact."""
+    m = math.isqrt(r.numerator // r.denominator)
+    k = math.floor(m + c)
+    t = k + 1 - c
+    if t <= 0 or t * t <= r:
+        return k + 1
+    return k
+
+
+def fraction_short_vectors(G, bound):
+    """Fincke-Pohst in Fractions, one representative per +- pair, sorted.
+
+    mu, B and each level's centre come from gram_schmidt of the reduced
+    Gram, interval ends are floor(sqrt(r) + c) exact in Fractions, a set
+    drops the second sign, and the sort recomputes every norm from G.
+    The reduction is lll_full_recompute's.
+    """
+    n = len(G)
+    bound = Fraction(bound)
+    if bound <= 0:
+        return ()
+    Gred, U = lll_full_recompute(G)
+    B, mu = gram_schmidt(Gred)
+    found = set()
+    x = [0] * n
+
+    def descend(i, remaining):
+        if i < 0:
+            if any(x):
+                found.add(canonical(tuple(
+                    sum(a * row[j] for a, row in zip(x, U)) for j in range(n))))
+            return
+        c = sum((mu[j][i] * x[j] for j in range(i + 1, n)), Fraction(0))
+        r = remaining / B[i]
+        for xi in range(-_floor_sqrt_plus(r, c), _floor_sqrt_plus(r, -c) + 1):
+            x[i] = xi
+            descend(i - 1, remaining - B[i] * (xi + c) * (xi + c))
+        x[i] = 0
+
+    descend(n - 1, bound)
+    Gf = as_fraction_matrix(G)
+    return tuple(sorted(found, key=lambda v: (gram_value(Gf, v, v), v)))
 
 
 def gram_schmidt(G):

@@ -17,8 +17,9 @@ from latdec.hermitian import (
     decompose_restriction,
     regular_module,
     trace_form,
+    verify_hermitian_decomposition,
 )
-from latdec.lattice import ZLattice, decompose, restrict_gram
+from latdec.lattice import Block, OrthoDecomposition, ZLattice, decompose, restrict_gram
 from latdec.linalg import (
     hnf_basis,
     identity,
@@ -244,6 +245,39 @@ class TestDecompose:
             for b in D.blocks:
                 assert check_o_stability(M, b.basis)
                 assert len(decompose_restriction(M, b.basis)) == 1
+
+
+def claimed(module, bases):
+    """A splitting with the given block bases and their trace-form Grams."""
+    return OrthoDecomposition(tuple(
+        Block(basis=b, gram=restrict_gram(module.trace_gram, b)) for b in bases))
+
+
+class TestVerify:
+    def test_accepts_the_decomposition(self):
+        rng = random.Random(7)
+        modules = [regular_module(gaussian_order()), regular_module(matrix_order(2)),
+                   product_module()]
+        modules += [split_module(((2, 1), (1, 2)), ((1,),), random_unimodular(rng, 3))
+                    for _ in range(3)]
+        for M in modules:
+            assert verify_hermitian_decomposition(M, decompose_hermitian(M))
+
+    def test_rejects_blocks_that_are_not_orthogonal(self):
+        # over Z with form A2, {e1} and {e2} stack and are O-stable
+        M = q_module(((2, -1), (-1, 2)))
+        D = claimed(M, (((1, 0),), ((0, 1),)))
+        assert all(check_o_stability(M, b.basis) for b in D.blocks)
+        assert not verify_hermitian_decomposition(M, D)
+
+    def test_rejects_a_decomposable_block(self):
+        M = product_module()
+        assert not verify_hermitian_decomposition(M, claimed(M, (((1, 0), (0, 1)),)))
+
+    def test_rejects_an_unstable_or_incomplete_split(self):
+        M = regular_module(gaussian_order())  # the trace form alone splits
+        assert not verify_hermitian_decomposition(M, claimed(M, (((0, 1),), ((1, 0),))))
+        assert not verify_hermitian_decomposition(M, claimed(M, (((1, 0),),)))
 
 
 class TestRationalFormAgainstOracle:

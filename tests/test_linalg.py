@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from latdec.linalg import (
     gram_value,
     hnf,
     identity,
+    integer_scaled,
     inverse,
     is_positive_definite,
     is_unimodular,
@@ -23,12 +25,14 @@ from latdec.linalg import (
     solve_rational,
     solve_rational_columns,
     transpose,
-    _gso,
+    _integral_gso,
 )
 
 from oracles import (
     brute_short_vectors,
+    brute_short_vectors_big,
     cramer_solve,
+    fraction_short_vectors,
     is_lll_reduced,
     leading_minors,
     lll_full_recompute,
@@ -223,6 +227,57 @@ class TestEnumeration:
             assert sorted(gram_value(G2f, v, v) for v in other) == base_norms
 
 
+def rational_congruent(rng, G):
+    """D*G*D for a random diagonal D of unit fractions: mixed denominators."""
+    q = [rng.choice((1, 1, 2, 3)) for _ in G]
+    return tuple(tuple(Fraction(x, q[i] * q[j]) for j, x in enumerate(row))
+                 for i, row in enumerate(G))
+
+
+class TestEnumerationAgainstOracle:
+    """The integral enumerator against the Fraction one and the box searches."""
+
+    def cases(self, seed):
+        """(G, attained, below) for ranks 1-8: a norm that some vector has,
+        and a bound under it by half the norms' spacing 1/s."""
+        rng = random.Random(seed)
+        for n in (1, 2, 3, 4, 5, 6, 7, 8, 3, 4, 5, 6, 7, 8):
+            G = random_spd_gram(rng, n, spread=1 if n > 5 else 2)
+            if rng.random() < 0.5:
+                G = rational_congruent(rng, G)
+            s, _ = integer_scaled((G,))
+            R, _ = lll_full_recompute(G)
+            attained = max(R[i][i] for i in range(n))  # the pipeline's bound
+            yield G, attained, attained - Fraction(1, 2 * s)
+
+    def test_same_tuples_as_fraction_enumerator(self):
+        for G, *bounds in self.cases(41):
+            for bound in bounds:
+                expected = fraction_short_vectors(G, bound)
+                assert enumerate_short_vectors(G, bound) == expected
+                assert enumerate_short_vectors(G, bound, lll_reduce(G)) == expected
+                # any basis may stand in for the reduction, the input's own too
+                assert enumerate_short_vectors(G, bound, (G, identity(len(G)))) == expected
+
+    def test_same_tuples_as_box_search(self):
+        for G, *bounds in self.cases(43):
+            for bound in bounds:
+                got = enumerate_short_vectors(G, bound)
+                if len(G) <= 5:
+                    assert got == tuple(brute_short_vectors(G, bound))
+                elif all(Fraction(x).denominator == 1 for row in G for x in row):
+                    # integer norms: the floor of the bound admits the same ball
+                    assert got == tuple(brute_short_vectors_big(G, math.floor(bound)))
+
+    def test_bound_just_below_drops_the_shell(self):
+        for G, attained, below in self.cases(47):
+            Gf = as_fraction_matrix(G)
+            upto = enumerate_short_vectors(G, attained)
+            inside = tuple(v for v in upto if gram_value(Gf, v, v) < attained)
+            assert len(inside) < len(upto)
+            assert enumerate_short_vectors(G, below) == inside
+
+
 class TestSolveRational:
     def test_identity(self):
         assert solve_rational(identity(3), (5, -1, 2)) == (5, -1, 2)
@@ -264,7 +319,8 @@ class TestPositiveDefiniteness:
                 G = tuple(tuple(row) for row in G)
             by_minors = first_nonpositive_minor(G) is None
             try:
-                _gso(as_fraction_matrix(G))
+                scale, (A,) = integer_scaled((G,))
+                _integral_gso(A, scale)
                 by_gso = True
             except NotPositiveDefiniteError:
                 by_gso = False
