@@ -217,18 +217,33 @@ def grouped_decomposition(L, max_rank=None):
     )
 
 
-def _perm_closure(perms, degree):
-    ident = tuple(range(degree))
-    seen = {ident} | set(perms)
-    queue = deque(seen)
+def _perm_group_order(perms, degree):
+    """Order of the group the permutations generate (p[i] is the image of i).
+
+    Schreier-Sims with a Sims filter: row i holds, per image j of i, one
+    sifted element fixing 0..i-1 that sends i to j.  Each new entry's
+    products s*t with row(s) >= row(t) are sifted in turn; once all sift
+    through, the rows are transversals of the stabiliser chain (Knuth,
+    "Efficient representation of perm groups", 1991).
+    """
+    table = [{} for _ in range(degree)]  # row i: image of i -> (u, u^-1)
+    queue = list(perms)
     while queue:
-        p = queue.popleft()
-        for q in perms:
-            r = tuple(p[q[i]] for i in range(degree))
-            if r not in seen:
-                seen.add(r)
-                queue.append(r)
-    return seen
+        g = queue.pop()
+        for i in range(degree):
+            j = g[i]
+            if j == i:
+                continue
+            if j in table[i]:
+                g = tuple(table[i][j][1][x] for x in g)
+                continue
+            table[i][j] = (g, tuple(sorted(range(degree), key=g.__getitem__)))
+            for row in table[i:]:
+                queue.extend(tuple(s[x] for x in g) for s, _ in row.values())
+            for row in table[:i + 1]:
+                queue.extend(tuple(g[x] for x in t) for t, _ in row.values())
+            break
+    return math.prod(len(row) + 1 for row in table)
 
 
 def verify_aut_factorization(L, A, max_rank=None):
@@ -279,6 +294,6 @@ def _factorization(L, A, max_rank=None):
             if sorted(images) != sorted(idxs):
                 return grouped, False
             induced[c].add(tuple(idxs.index(m) for m in images))
-    ok = all(len(_perm_closure(induced[c], len(idxs))) == math.factorial(len(idxs))
+    ok = all(_perm_group_order(induced[c], len(idxs)) == math.factorial(len(idxs))
              for c, (_, idxs, _rep) in enumerate(classes))
     return grouped, ok

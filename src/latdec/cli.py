@@ -38,8 +38,8 @@ from .errors import (
 )
 from .hermitian import decompose_hermitian, verify_hermitian_decomposition
 from .hodge import decompose_hodge, verify_hodge_decomposition
-from .idempotents import blocks_from_idempotents, decompose_unity, idempotents_from_blocks
-from .lattice import decompose, verify_decomposition
+from .idempotents import _unity, blocks_from_idempotents
+from .lattice import audit_blocks, decompose, is_finest, verify_decomposition
 
 
 class _UsageError(Exception):
@@ -78,24 +78,18 @@ def _pretty_block_report(blocks):
     return "\n".join(lines) + "\n"
 
 
-def _cmd_decompose(args):
-    L = jsonio.parse_lattice(_load(args.input))
-    D = decompose(L)
-    if args.verify and not verify_decomposition(L, D):
-        raise InternalError("verification failed: lattice decomposition audit")
-    if args.pretty:
-        return _pretty_block_report([(b.basis, b.gram) for b in D.blocks])
-    return jsonio.dumps({"blocks": [
-        {"basis": jsonio.int_matrix_json(b.basis),
-         "gram": jsonio.rational_matrix_json(b.gram)}
-        for b in D.blocks]})
-
-
-def _cmd_hermitian(args):
-    module = jsonio.parse_hermitian(_load(args.input))
-    D = decompose_hermitian(module)
-    if args.verify and not verify_hermitian_decomposition(module, D):
-        raise InternalError("verification failed: Hermitian block audit")
+def _cmd_blocks(args):
+    """decompose and hermitian: blocks with their Grams, the trace Gram
+    for a Hermitian module."""
+    payload = _load(args.input)
+    if args.command == "decompose":
+        X = jsonio.parse_lattice(payload)
+        D, verify, audit = decompose(X), verify_decomposition, "lattice decomposition"
+    else:
+        X = jsonio.parse_hermitian(payload)
+        D, verify, audit = decompose_hermitian(X), verify_hermitian_decomposition, "Hermitian block"
+    if args.verify and not verify(X, D):
+        raise InternalError("verification failed: %s audit" % audit)
     if args.pretty:
         return _pretty_block_report([(b.basis, b.gram) for b in D.blocks])
     return jsonio.dumps({"blocks": [
@@ -106,10 +100,12 @@ def _cmd_hermitian(args):
 
 def _cmd_idempotents(args):
     order = jsonio.parse_order(_load(args.input))
-    found = decompose_unity(order)
-    blocks = blocks_from_idempotents(order, found.idems)
-    if args.verify and idempotents_from_blocks(order, blocks) != found:
-        raise InternalError("verification failed: idempotent/block round trip")
+    module, found, blocks = _unity(order)
+    if args.verify and not (
+            audit_blocks(module.trace_gram, blocks, module.action)
+            and is_finest(module.trace_gram, blocks, module.action)
+            and blocks_from_idempotents(order, found.idems) == blocks):
+        raise InternalError("verification failed: idempotent block audit")
     if args.pretty:
         lines = ["idempotents: %d" % len(found.idems)]
         for k, (idem, basis) in enumerate(zip(found.idems, blocks), 1):
@@ -155,7 +151,9 @@ def _cmd_aut(args):
 def _cmd_hodge(args):
     H = jsonio.parse_hodge(_load(args.input))
     D = decompose_hodge(H)
-    if args.verify and not verify_hodge_decomposition(H, D):
+    if args.verify and not (
+            verify_hodge_decomposition(H, D)
+            and is_finest(H.positivity_form(), [b.basis for b in D.blocks], (H.j,))):
         raise InternalError("verification failed: polarised structure audit")
     if args.pretty:
         lines = ["blocks: %d" % len(D.blocks)]
@@ -211,8 +209,8 @@ def _cmd_algebra_check(args):
 
 
 _COMMANDS = (
-    ("decompose", _cmd_decompose, "split a positive definite Gram matrix into orthogonal blocks"),
-    ("hermitian", _cmd_hermitian, "split a Hermitian module over an involutive order"),
+    ("decompose", _cmd_blocks, "split a positive definite Gram matrix into orthogonal blocks"),
+    ("hermitian", _cmd_blocks, "split a Hermitian module over an involutive order"),
     ("idempotents", _cmd_idempotents, "split 1 into indecomposable Hermitian idempotents"),
     ("aut", _cmd_aut, "automorphism group of a lattice and its block factorization"),
     ("hodge", _cmd_hodge, "split a polarised complex structure into indecomposables"),

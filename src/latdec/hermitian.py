@@ -4,15 +4,15 @@ The module V is presented as Q^N in a fixed basis with L = Z^N.  The
 algebra acts through one integer matrix per order basis element, and
 the form is tabulated as F[a][b] = f(b_a, b_b), each value a coordinate
 vector in the order basis.  An O-stable, f-orthogonal splitting is
-orthogonal for the trace form t, so decomposition runs the lattice
-pipeline on t and merges the Z-blocks that f couples: two rows r, s
-are coupled when t(A_k r, s) is nonzero for some action matrix A_k,
-which is when f(r, s) is nonzero.
+orthogonal for the trace form t, and t(A_k r, s) is nonzero for some
+action matrix A_k exactly when f(r, s) is nonzero; the action spans an
+algebra closed under the t-adjoint (the involution).  So decomposition
+is lattice.split(t, action), and auditing is lattice.audit_blocks and
+lattice.is_finest on the same pair: t-orthogonal O-stable blocks are
+f-orthogonal.
 
 The public constructor validates a module in full; regular_module checks
 only positivity, the other laws being theorems for a validated order.
-verify_hermitian_decomposition audits a claimed splitting on the trace
-form: t-orthogonal O-stable blocks are f-orthogonal.
 """
 
 from fractions import Fraction
@@ -29,17 +29,15 @@ from .lattice import (
     OrthoDecomposition,
     ZLattice,
     audit_blocks,
-    decompose_pipeline,
-    merge_blocks,
+    is_finest,
     restrict_gram,
+    split,
 )
 from .linalg import (
     as_fraction_matrix,
-    dot,
     first_nonpositive_minor,
     hnf_basis,
     identity,
-    integer_scaled,
     is_integral,
     is_positive_definite,
     is_symmetric,
@@ -49,7 +47,6 @@ from .linalg import (
     row_span_contains,
     to_int_matrix,
     transpose,
-    vec_mat,
 )
 
 
@@ -226,27 +223,15 @@ def decompose_restriction(module, block_rows, max_rank=None):
     Returns block bases in block_rows coordinates.  The span must be
     saturated and action-stable for the restriction to make sense; both
     hold for pipeline output and for the span of R*i with i a Hermitian
-    idempotent.  The action is not restricted (it may fail to stay
-    faithful on a proper sublattice): the coupling t(A_k r, s) is
-    evaluated on the rows in ambient coordinates.
+    idempotent.  The action stays on the ambient lattice (it may not be
+    faithful on a sublattice).
     """
-    rows = tuple(tuple(int(x) for x in r) for r in block_rows)
-    spans = decompose_pipeline(restrict_gram(module.trace_gram, rows), max_rank)
-    _, (T,) = integer_scaled((module.trace_gram,))
-    action = [to_int_matrix(A) for A in module.action]  # integral when validated
-    images, duals = {}, {}  # per row: the A_k r, and T s
-    for span in spans:
-        for r in span:
-            v = vec_mat(r, rows)
-            images[r] = [mat_vec(A, v) for A in action]
-            duals[r] = mat_vec(T, v)
-    return merge_blocks(len(rows), spans,
-                        lambda r, s: any(dot(a, duals[s]) for a in images[r]))
+    return split(module.trace_gram, module.action, block_rows, max_rank)
 
 
 def decompose_hermitian(module, max_rank=None):
     """Unique splitting into pairwise f-orthogonal indecomposable sublattices."""
-    bases = decompose_restriction(module, identity(module.rank), max_rank)
+    bases = split(module.trace_gram, module.action, max_rank=max_rank)
     for basis in bases:
         if not check_o_stability(module, basis):
             raise OStabilityError(
@@ -257,10 +242,9 @@ def decompose_hermitian(module, max_rank=None):
 
 
 def verify_hermitian_decomposition(module, decomposition):
-    """Read-only audit: audit_blocks on the trace Gram, then each block
-    O-stable (with t-orthogonality, that is f-orthogonality) and
-    indecomposable."""
-    return audit_blocks(module.trace_gram, decomposition.blocks) and all(
-        check_o_stability(module, b.basis)
-        and len(decompose_restriction(module, b.basis)) == 1
-        for b in decomposition.blocks)
+    """Read-only audit: restricted trace Grams, then audit_blocks and
+    is_finest on the trace Gram and the action."""
+    g, bases = module.trace_gram, [b.basis for b in decomposition.blocks]
+    return (all(b.gram == restrict_gram(g, b.basis) for b in decomposition.blocks)
+            and audit_blocks(g, bases, module.action)
+            and is_finest(g, bases, module.action))

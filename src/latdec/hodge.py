@@ -4,10 +4,12 @@ A rank-2g lattice Z^N carries a rational complex-structure operator j
 (square minus identity) and an integral alternating polarisation psi
 with psi(jx, jy) = psi(x, y) and psi(x, jy) positive definite.  A
 j-stable, psi-orthogonal splitting is orthogonal for the positive form
-phi(x, y) = psi(x, jy), so decompose_hodge runs the lattice pipeline on
-phi and merges the Z-blocks that psi couples: two rows r, s are coupled
-when psi(r, s) is nonzero.  The result is the unique family of j-stable,
-pairwise psi-orthogonal indecomposable sublattices, for any polarisation.
+phi(x, y) = psi(x, jy), and phi(jx, y) = psi(x, y), while the
+phi-adjoint of j is -j.  So decompose_hodge is lattice.split(phi, (j,))
+followed by the restricted structure on each block, and the audit is
+lattice.audit_blocks on the same pair plus the check of those
+structures.  The result is the unique family of j-stable, pairwise
+psi-orthogonal indecomposable sublattices, for any polarisation.
 
 The endomorphisms of the data form an involutive order: the saturated
 integral commutant of j, with the adjoint involution a -> psi^-1 a^T psi.
@@ -30,17 +32,15 @@ from .errors import (
     NoSolutionError,
     NotPositiveDefiniteError,
 )
-from .lattice import decompose_pipeline, merge_blocks
+from .lattice import audit_blocks, split
 from .linalg import (
     as_fraction_matrix,
-    dot,
     first_nonpositive_minor,
     hnf_basis,
     identity,
     inverse,
     is_integral,
     is_symmetric,
-    is_unimodular,
     left_integer_kernel,
     mat_mul,
     mat_neg,
@@ -192,16 +192,10 @@ def endomorphism_order(H):
 
 def _restrict_structure(H, rows):
     """Restricted (j, psi) on the saturated j-stable span of rows."""
-    rows_f = as_fraction_matrix(rows)
-    psi_r = tuple(
-        tuple(sum(rows[a][p] * H.psi[p][q] * rows[b][q]
-                  for p in range(H.rank) for q in range(H.rank))
-              for b in range(len(rows)))
-        for a in range(len(rows))
-    )
+    psi_r = mat_mul(mat_mul(rows, H.psi), transpose(rows))
     try:
         cols = solve_rational_columns(
-            transpose(rows_f), [mat_vec(H.j, r) for r in rows])
+            transpose(as_fraction_matrix(rows)), [mat_vec(H.j, r) for r in rows])
     except NoSolutionError:
         raise InternalError("block span is not j-stable; this is a bug")
     j_r = tuple(tuple(cols[c][r] for c in range(len(rows)))
@@ -211,10 +205,8 @@ def _restrict_structure(H, rows):
 
 def decompose_hodge(H, max_rank=None):
     """The unique splitting into indecomposable polarised sub-structures."""
-    spans = decompose_pipeline(H.positivity_form(), max_rank)
-    cols = {s: mat_vec(H.psi, s) for span in spans for s in span}
     blocks = []
-    for span in merge_blocks(H.rank, spans, lambda r, s: dot(r, cols[s])):
+    for span in split(H.positivity_form(), (H.j,), max_rank=max_rank):
         j_r, psi_r = _restrict_structure(H, span)
         try:
             sub = PolarisedComplexStructure(j_r, psi_r)
@@ -225,32 +217,11 @@ def decompose_hodge(H, max_rank=None):
 
 
 def verify_hodge_decomposition(H, decomposition):
-    """Read-only audit of a claimed splitting, independent of its origin."""
-    N = H.rank
-    blocks = decomposition.blocks
-    for b in blocks:
-        if hnf_basis(b.basis) != b.basis:
-            return False
-        try:
-            j_r, psi_r = _restrict_structure(H, b.basis)
-        except InternalError:
-            return False
-        if as_fraction_matrix(j_r) != as_fraction_matrix(b.structure.j):
-            return False
-        if psi_r != b.structure.psi:
-            return False
-        try:
-            PolarisedComplexStructure(j_r, psi_r)
-        except LatdecError:
-            return False
-    stacked = tuple(r for b in blocks for r in b.basis)
-    if len(stacked) != N or not is_unimodular(stacked):
-        return False
-    for a in range(len(blocks)):
-        for b in range(a + 1, len(blocks)):
-            for r in blocks[a].basis:
-                for s in blocks[b].basis:
-                    if sum(r[p] * H.psi[p][q] * s[q]
-                           for p in range(N) for q in range(N)):
-                        return False
-    return True
+    """Read-only audit of a claimed splitting, independent of its origin:
+    audit_blocks on phi and j, then each block carries the restricted
+    structure (valid on a j-stable block).  Maximality is not checked:
+    that is lattice.is_finest on the same pair."""
+    bases = [b.basis for b in decomposition.blocks]
+    return audit_blocks(H.positivity_form(), bases, (H.j,)) and all(
+        _restrict_structure(H, b.basis) == (b.structure.j, b.structure.psi)
+        for b in decomposition.blocks)

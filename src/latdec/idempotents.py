@@ -17,7 +17,7 @@ from .errors import (
     NoSolutionError,
 )
 from .hermitian import decompose_hermitian, decompose_restriction, regular_module
-from .linalg import hnf_basis, is_unimodular, solve_rational, transpose
+from .linalg import hnf_basis, is_unimodular, row_span_contains, solve_rational, transpose
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,22 @@ def _left_ideal_basis(order, v):
 
 def decompose_unity(order, max_rank=None):
     """The unique finest orthogonal Hermitian idempotent splitting of 1."""
+    return _unity(order, max_rank)[1]
+
+
+def _unity(order, max_rank=None):
+    """The regular module, decompose_unity(order) and the block R*i of
+    each idempotent i, in the same order, from one split of the module."""
     module = regular_module(order)  # raises NotPositiveInvolutionError
-    blocks = decompose_hermitian(module, max_rank)
+    bases = [b.basis for b in decompose_hermitian(module, max_rank).blocks]
     try:
-        return idempotents_from_blocks(order, [b.basis for b in blocks.blocks])
+        found = idempotents_from_blocks(order, bases)
     except (NoSolutionError, InvalidIdempotentsError) as exc:
         raise InternalError(
             "recovering idempotents from computed blocks failed: %s" % exc)
+    # i = i * i lies in R*i and in no other block
+    return module, found, tuple(next(b for b in bases if row_span_contains(b, i))
+                                for i in found.idems)
 
 
 def idempotents_from_blocks(order, blocks):

@@ -20,13 +20,12 @@ family of pairwise orthogonal indecomposable sublattices:
      pairing is Z-bilinear.
   5. Assert the blocks stack to a unimodular basis, sort canonically.
 
-Steps 4 and 5 are merge_blocks, which also serves every finer splitting.
-A splitting that is orthogonal for some finer relation (f-orthogonal and
-O-stable for a Hermitian module, psi-orthogonal and j-stable for a
-polarised structure) is orthogonal for one positive Gram (the trace
-form, psi(x, jy)), so each of its blocks is a union of the Z-blocks of
-that Gram.  The finest one joins the Z-blocks linked by a pair of rows
-that the finer relation couples.
+Steps 4 and 5 are merge_blocks.  split(gram, operators) serves every
+finer splitting: orthogonal for a positive Gram and stable under
+operators whose span is closed under the gram-adjoint (an order acting
+on a Hermitian module, with the trace form; j, with psi(x, jy)).  Its
+blocks join the Z-blocks whose rows have gram(A r, s) nonzero for an
+operator A.  audit_blocks and is_finest audit a splitting of any pair.
 """
 
 import os
@@ -55,6 +54,7 @@ from .linalg import (
     mat_vec,
     first_nonpositive_minor,
     transpose,
+    vec_mat,
 )
 
 DECOMPOSE_MAX_RANK = 12
@@ -213,7 +213,7 @@ def decompose_pipeline(gram, max_rank=None):
             % (n, limit))
     gram = as_fraction_matrix(gram)
     reduced = lll_reduce(gram)
-    bound = max(reduced[0][i][i] for i in range(n))
+    bound = max((reduced[0][i][i] for i in range(n)), default=0)
     shorts = enumerate_short_vectors(gram, bound, reduced)
     _, (G,) = integer_scaled((gram,))
     done = []  # (y, f(y, y)) for the vectors y before x
@@ -230,10 +230,29 @@ def decompose_pipeline(gram, max_rank=None):
     return merge_blocks(n, [(x,) for x in cols], lambda r, s: dot(s, cols[r]))
 
 
+def split(gram, operators=(), rows=None, max_rank=None):
+    """Sorted HNF bases, in rows coordinates, of the finest gram-orthogonal
+    operator-stable splitting of the saturated stable span of rows (Z^n
+    when None).  The span of the operators (matrices acting on columns)
+    must be closed under the gram-adjoint, which makes "gram(A r, s) is
+    nonzero for an operator A" symmetric; r, s are in ambient coordinates.
+    """
+    sub = gram if rows is None else restrict_gram(gram, rows)
+    spans = decompose_pipeline(sub, max_rank)
+    if not operators:
+        return spans
+    _, (T, *ops) = integer_scaled((gram, *operators))
+    ambient = [(r, r if rows is None else vec_mat(r, rows)) for span in spans for r in span]
+    images = {r: [mat_vec(A, v) for A in ops] for r, v in ambient}
+    duals = {r: mat_vec(T, v) for r, v in ambient}
+    return merge_blocks(len(sub), spans,
+                        lambda r, s: any(dot(a, duals[s]) for a in images[r]))
+
+
 def decompose(L, max_rank=None):
     """Unique orthogonal decomposition into indecomposable sublattices."""
     G = L.gram
-    bases = decompose_pipeline(G, max_rank)
+    bases = split(G, max_rank=max_rank)
     blocks = tuple(Block(basis=b, gram=restrict_gram(G, b)) for b in bases)
     return OrthoDecomposition(blocks)
 
@@ -242,25 +261,36 @@ def is_indecomposable(L, max_rank=None):
     return len(decompose(L, max_rank).blocks) == 1
 
 
-def audit_blocks(gram, blocks):
-    """Whether the blocks are HNF, carry their restricted Grams, are pairwise
-    orthogonal (one column G r^T of the integer-scaled gram per row) and
-    stack to a unimodular basis."""
-    _, (G,) = integer_scaled((gram,))
-    if any(hnf_basis(b.basis) != b.basis or b.gram != restrict_gram(gram, b.basis)
-           for b in blocks):
+def audit_blocks(gram, bases, operators=()):
+    """Whether the bases are nonempty and HNF, stack to a unimodular basis
+    and couple no rows r, s of different blocks: gram(A r, s) = 0 for A
+    the identity or an operator.  With the stacking, that is orthogonality
+    and stability under the operators; their span must be closed under
+    the gram-adjoint, as for split, so one order of r and s suffices."""
+    if any(not b or hnf_basis(b) != b for b in bases):
         return False
-    cols = []  # the columns of the rows of the blocks before b
-    for b in blocks:
-        if any(dot(s, col) for s in b.basis for col in cols):
+    stacked = tuple(row for b in bases for row in b)
+    if len(stacked) != len(gram) or not is_unimodular(stacked):
+        return False
+    _, (T, *ops) = integer_scaled((gram, *operators))
+    cols = []  # the columns T s of the rows of the blocks before b
+    for b in bases:
+        probes = [v for r in b for v in (r, *(mat_vec(A, r) for A in ops))]
+        if any(dot(v, col) for v in probes for col in cols):
             return False
-        cols.extend(mat_vec(G, r) for r in b.basis)
-    stacked = tuple(row for b in blocks for row in b.basis)
-    return len(stacked) == len(gram) and is_unimodular(stacked)
+        cols.extend(mat_vec(T, r) for r in b)
+    return True
+
+
+def is_finest(gram, bases, operators=()):
+    """Whether split leaves each basis whole: no block splits further."""
+    return all(len(split(gram, operators, b)) == 1 for b in bases)
 
 
 def verify_decomposition(L, decomposition):
-    """Read-only audit: orthogonality, completeness, per-block indecomposability."""
-    # a block of an audited splitting has a positive definite Gram
-    return audit_blocks(L.gram, decomposition.blocks) and all(
-        len(decompose_pipeline(b.gram)) == 1 for b in decomposition.blocks)
+    """Read-only audit: restricted Grams, audit_blocks, indecomposability."""
+    G, blocks = L.gram, decomposition.blocks
+    # maximality on each block's own Gram, once it is known to be the restriction
+    return (all(b.gram == restrict_gram(G, b.basis) for b in blocks)
+            and audit_blocks(G, [b.basis for b in blocks])
+            and all(len(split(b.gram)) == 1 for b in blocks))

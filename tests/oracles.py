@@ -512,3 +512,17 @@ def involution_law_failure(structure, one, matrix):
             if star(c[i][j]) != _fraction_mult(c, sj, si):
                 return "involution: (e_%d e_%d)* != e_%d* e_%d*" % (i, j, j, i)
     return None
+
+
+def perm_closure(perms, degree):
+    """Every product of the permutations (p[i] the image of i), by search."""
+    ident = tuple(range(degree))
+    seen = {ident} | set(perms)
+    queue = list(seen)
+    for p in queue:
+        for q in perms:
+            r = tuple(p[q[i]] for i in range(degree))
+            if r not in seen:
+                seen.add(r)
+                queue.append(r)
+    return seen

@@ -2,12 +2,14 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from latdec.aut import (
     IsometryGroup,
+    _perm_group_order,
     aut_group,
     group_closure,
     grouped_decomposition,
@@ -27,7 +29,7 @@ from latdec.linalg import (
     transpose,
 )
 
-from oracles import closure_order, isometry_elements, random_unimodular
+from oracles import closure_order, isometry_elements, perm_closure, random_unimodular
 
 A2 = ((2, 1), (1, 2))
 DET5 = ((2, 1), (1, 3))
@@ -286,3 +288,37 @@ class TestFactorization:
         for bad in (((1, 1), (0, 1)), ((Fraction(1, 2), 0), (0, 2)), ((1, 0, 0),)):
             claim = IsometryGroup(A.generators + (bad,), A.order)
             assert verify_aut_factorization(L, claim) is False
+
+    def test_many_blocks_audit_quickly(self):
+        # check (d) on S_10 is an order computation, not a list of 10! elements
+        L = ZLattice(eye(10))
+        A = aut_group(L, max_rank=10)
+        start = time.perf_counter()
+        assert verify_aut_factorization(L, A, max_rank=10) is True
+        assert time.perf_counter() - start < 1.0
+
+
+class TestPermGroupOrder:
+    def test_against_closure_oracle(self):
+        rng = random.Random(271)
+        for _ in range(300):
+            e = rng.randint(0, 6)
+            gens = []
+            for _ in range(rng.randint(0, 3)):
+                p = list(range(e))
+                if rng.random() < 0.5:
+                    rng.shuffle(p)
+                elif e >= 2:
+                    a, b = rng.sample(range(e), 2)
+                    p[a], p[b] = p[b], p[a]
+                gens.append(tuple(p))
+            assert _perm_group_order(gens, e) == len(perm_closure(gens, e))
+
+    def test_symmetric_and_alternating_groups(self):
+        for e in (3, 8, 12):
+            shift = tuple(range(1, e)) + (0,)
+            swap = (1, 0) + tuple(range(2, e))
+            assert _perm_group_order([shift, swap], e) == math.factorial(e)
+            three = (1, 2, 0) + tuple(range(3, e))
+            shifted = tuple(range(1, e)) + (0,) if e % 2 else (0,) + tuple(range(2, e)) + (1,)
+            assert _perm_group_order([three, shifted], e) == math.factorial(e) // 2

@@ -6,8 +6,12 @@ import sys
 
 import pytest
 
+import latdec.cli
 from latdec.cli import main
 from latdec.hermitian import regular_module
+from latdec.hodge import HodgeBlock, HodgeDecomposition, PolarisedComplexStructure
+from latdec.idempotents import IdempotentDecomposition
+from latdec.lattice import Block, OrthoDecomposition, restrict_gram
 from builders import gaussian_order, matrix_order, zxz
 
 I3 = {"gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
@@ -423,6 +427,65 @@ class TestHodgeCommand:
 
     def test_verify_neutral(self, cli):
         assert cli("hodge", PRODUCT_HODGE) == cli("hodge", PRODUCT_HODGE, "--verify")
+
+
+def claimed_blocks(gram, bases):
+    return OrthoDecomposition(tuple(
+        Block(basis=b, gram=restrict_gram(gram, b)) for b in bases))
+
+
+WHOLE2 = ((1, 0), (0, 1))
+LINES2 = (((1, 0),), ((0, 1),))
+J0 = ((0, -1), (1, 0))
+PSI0 = ((0, 1), (-1, 0))
+
+
+class TestVerifyCatchesABadSplit:
+    """--verify exits 4 when the decomposer returns a coarser or a coupled
+    split; without it the bad split is printed."""
+
+    def run(self, cli, monkeypatch, name, fake, command, payload):
+        monkeypatch.setattr(latdec.cli, name, fake)
+        assert cli(command, payload)[0] == 0
+        code, out, err = cli(command, payload, "--verify")
+        assert (code, out) == (4, "")
+        assert "verification failed" in err
+
+    @pytest.mark.parametrize("payload, bases", [(I3, (((1, 0, 0), (0, 1, 0), (0, 0, 1)),)),
+                                                (A2, LINES2)])
+    def test_decompose(self, cli, monkeypatch, payload, bases):
+        def fake(L):
+            return claimed_blocks(L.gram, bases)
+        self.run(cli, monkeypatch, "decompose", fake, "decompose", payload)
+
+    @pytest.mark.parametrize("order, bases", [(zxz(), (WHOLE2,)), (gaussian_order(), LINES2)])
+    def test_hermitian(self, cli, monkeypatch, order, bases):
+        def fake(module):
+            return claimed_blocks(module.trace_gram, bases)
+        self.run(cli, monkeypatch, "decompose_hermitian", fake, "hermitian",
+                 module_payload(regular_module(order)))
+
+    @pytest.mark.parametrize("order, idems, bases", [
+        (zxz(), ((1, 1),), (WHOLE2,)),
+        (gaussian_order(), ((0, 1), (1, 0)), LINES2),
+    ])
+    def test_idempotents(self, cli, monkeypatch, order, idems, bases):
+        def fake(order):
+            return regular_module(order), IdempotentDecomposition(idems), bases
+        self.run(cli, monkeypatch, "_unity", fake, "idempotents", order_payload(order))
+
+    @pytest.mark.parametrize("bases", [
+        (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),),
+        (((1, 0, 0, 0), (0, 0, 1, 0)), ((0, 1, 0, 0), (0, 0, 0, 1))),
+    ])
+    def test_hodge(self, cli, monkeypatch, bases):
+        def fake(H):
+            if len(bases) == 1:
+                return HodgeDecomposition((HodgeBlock(basis=bases[0], structure=H),))
+            plane = PolarisedComplexStructure(J0, PSI0)
+            return HodgeDecomposition(tuple(HodgeBlock(basis=b, structure=plane)
+                                            for b in bases))
+        self.run(cli, monkeypatch, "decompose_hodge", fake, "hodge", PRODUCT_HODGE)
 
 
 class TestModuleInvocation:

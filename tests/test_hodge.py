@@ -21,6 +21,7 @@ from latdec.hodge import (
     verify_hodge_decomposition,
 )
 from latdec.idempotents import blocks_from_idempotents, decompose_unity, idempotents_from_blocks
+from latdec.lattice import audit_blocks, is_finest
 from latdec.linalg import as_fraction_matrix, hnf_basis, identity, inverse, mat_mul, transpose, vec_mat
 from builders import gaussian_order
 from oracles import hodge_by_order, random_unimodular
@@ -345,6 +346,24 @@ class TestVerify:
         H = product_structure()
         D = decompose_hodge(H)
         assert not verify_hodge_decomposition(H, HodgeDecomposition(D.blocks[:1]))
+
+    def test_audit_rejects_a_phi_orthogonal_split_that_is_not_j_stable(self):
+        # phi = psi J is the identity here, so the coordinate lines and the
+        # planes e1 e3, e2 e4 are phi-orthogonal; j moves both off themselves
+        H = square_structure()
+        phi = H.positivity_form()
+        for bases in ([((1, 0, 0, 0),), ((0, 1, 0, 0),), ((0, 0, 1, 0),), ((0, 0, 0, 1),)],
+                      [((1, 0, 0, 0), (0, 0, 1, 0)), ((0, 1, 0, 0), (0, 0, 0, 1))]):
+            assert audit_blocks(phi, bases)
+            assert not audit_blocks(phi, bases, (H.j,))
+        assert audit_blocks(phi, [b.basis for b in decompose_hodge(H).blocks], (H.j,))
+
+    def test_maximality_is_a_separate_check(self):
+        for make in (elliptic, product_structure, square_structure):
+            H = make()
+            phi = H.positivity_form()
+            assert is_finest(phi, [b.basis for b in decompose_hodge(H).blocks], (H.j,))
+            assert is_finest(phi, [identity(H.rank)], (H.j,)) == (make is elliptic)
 
     def test_rejects_non_hnf_basis(self):
         H = square_structure()

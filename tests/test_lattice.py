@@ -16,11 +16,14 @@ from latdec.lattice import (
     Block,
     OrthoDecomposition,
     ZLattice,
+    audit_blocks,
     decompose,
+    is_finest,
     is_indecomposable,
     is_primitive,
     merge_blocks,
     restrict_gram,
+    split,
     verify_decomposition,
 )
 from latdec.linalg import (
@@ -381,3 +384,50 @@ class TestVerifyDecomposition:
             Block(basis=((0, 1),), gram=((1,),)),
         )
         assert verify_decomposition(L, OrthoDecomposition(blocks)) is False
+
+    def test_rejects_an_empty_block(self):
+        L = ZLattice(I2)
+        D = decompose(L)
+        padded = OrthoDecomposition(D.blocks + (Block(basis=(), gram=()),))
+        assert verify_decomposition(L, padded) is False
+
+
+class TestRankZero:
+    def test_no_blocks(self):
+        L = ZLattice(())
+        assert decompose(L).blocks == ()
+        assert split(()) == ()
+        assert verify_decomposition(L, decompose(L)) is True
+
+    def test_audit_rejects_an_empty_block(self):
+        assert audit_blocks((), ()) is True
+        assert audit_blocks((), ((),)) is False
+        assert audit_blocks(I2, (((1, 0),), (), ((0, 1),))) is False
+        assert is_finest(I2, ((),)) is False
+
+
+class TestSplitAndAudit:
+    # x -> (x2, x1): an isometry of I2 and of A2, and its own adjoint
+    SWAP = ((0, 1), (1, 0))
+
+    def test_operators_join_z_blocks(self):
+        assert split(I2) == (((0, 1),), ((1, 0),))
+        assert split(I2, (self.SWAP,)) == (((1, 0), (0, 1)),)
+
+    def test_rows_give_bases_in_their_coordinates(self):
+        rows = ((1, 0, 0), (0, 0, 1))
+        assert split(I3, rows=rows) == (((0, 1),), ((1, 0),))
+        swap13 = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+        assert split(I3, (swap13,), rows) == (((1, 0), (0, 1)),)
+
+    def test_audit_checks_stability(self):
+        apart = (((1, 0),), ((0, 1),))
+        assert audit_blocks(I2, apart) is True
+        assert audit_blocks(I2, apart, (self.SWAP,)) is False
+        assert audit_blocks(I2, (((1, 0), (0, 1)),), (self.SWAP,)) is True
+
+    def test_maximality(self):
+        whole = (((1, 0), (0, 1)),)
+        assert is_finest(I2, whole) is False
+        assert is_finest(I2, whole, (self.SWAP,)) is True
+        assert is_finest(A2, whole) is True
