@@ -1,11 +1,10 @@
 """Isometry groups of small definite lattices.
 
-Isometries are searched on LLL-reduced bases.  Every row of a solution W
-of W*G_to*W^T = G_from has the norm of the matching G_from diagonal, so
-candidate rows come from the finite enumerated ball of G_to up to the
-largest such norm, with their negatives.  Their integer inner products,
-against both Grams scaled by one common factor, are tabulated once, and a
-backtrack extends a given prefix of rows by table lookups only.
+Isometries are searched on LLL-reduced bases.  Row i of a solution W of
+W*G_to*W^T = G_from has norm G_from[i][i], so it comes from that norm
+shell of G_to, either sign.  With both Grams scaled by one common factor,
+each candidate keeps its integer column F_to*w^T, and a backtrack checks a
+candidate's products with the chosen prefix of rows only.
 
 aut_group follows the stabiliser chain of Plesken and Souvignier
 (J. Symbolic Comput. 24 (1997)).  For i = n-1 down to 0 it completes the
@@ -70,34 +69,41 @@ def group_closure(generators, cap=CLOSURE_CAP):
     return seen
 
 
-def _table(F_from, F_to, vectors):
-    """Candidate rows of W with W*G_to*W^T = G_from, and their inner products.
+def _shells(F_from, F_to, vectors):
+    """Candidate rows of W with W*G_to*W^T = G_from, shell by shell.
 
     F_from and F_to are the Grams times one common integer scale; vectors
     are short vectors of G_to, one per sign, that include every norm of
-    the G_from diagonal.  Returns (candidates, ip, by_level): ip[a][c] is
-    the scaled inner product of candidates a and c, and by_level[i] lists
-    the candidates that have the norm of row i.
+    the G_from diagonal.  Returns (cols, shells): shells[i] lists the
+    signed candidates of the norm of row i, and cols[w] = F_to*w^T.
     """
-    cands = [w for v in vectors for w in (v, tuple(-x for x in v))]
-    ip = [[dot(r, v) for v in cands] for r in (vec_mat(u, F_to) for u in cands)]
-    by_level = [[a for a in range(len(cands)) if ip[a][a] == F_from[i][i]]
-                for i in range(len(F_from))]
-    return cands, ip, by_level
+    diagonal = [F_from[i][i] for i in range(len(F_from))]
+    cols, by_norm = {}, {d: [] for d in diagonal}
+    for v in vectors:
+        col = vec_mat(v, F_to)
+        norm = dot(v, col)
+        if norm in by_norm:
+            neg = tuple(-x for x in v)
+            cols[v], cols[neg] = col, tuple(-x for x in col)
+            by_norm[norm] += (v, neg)
+    return cols, [by_norm[d] for d in diagonal]
 
 
-def _fits(F, ip, rows, a):
-    """Whether candidate a can follow the rows: its products with them match."""
-    return all(ip[b][a] == F[len(rows)][j] for j, b in enumerate(rows))
+def _fits(F, cols, rows, w):
+    """Whether candidate w can follow the rows: its products with them match."""
+    for r, target in zip(rows, F[len(rows)]):
+        if dot(w, cols[r]) != target:
+            return False
+    return True
 
 
-def _extend(F, ip, by_level, rows):
-    """Candidate indices of a whole solution that begins with rows, or None."""
+def _extend(F, cols, shells, rows):
+    """The rows of a whole solution that begins with rows, or None."""
     if len(rows) == len(F):
         return rows
-    for a in by_level[len(rows)]:
-        if _fits(F, ip, rows, a):
-            found = _extend(F, ip, by_level, rows + [a])
+    for w in shells[len(rows)]:
+        if _fits(F, cols, rows, w):
+            found = _extend(F, cols, shells, rows + [w])
             if found:
                 return found
     return None
@@ -142,20 +148,20 @@ def aut_group(L, max_rank=None):
         return IsometryGroup((), 1)
     R, U = lll_reduce(L.gram)
     _, (F,) = integer_scaled((R,))
-    cands, ip, by_level = _table(F, F, enumerate_short_vectors(
+    cols, shells = _shells(F, F, enumerate_short_vectors(
         R, max(R[i][i] for i in range(n)), reduced=(R, identity(n))))
-    base = [cands.index(e) for e in identity(n)]
+    base = list(identity(n))
     gens = []  # on the reduced basis; those found at level i fix b_0..b_(i-1)
     order = 1
     for i in reversed(range(n)):
-        orbit = _orbit(cands[base[i]], gens)
-        for c in by_level[i]:
-            if cands[c] in orbit or not _fits(F, ip, base[:i], c):
+        orbit = _orbit(base[i], gens)
+        for w in shells[i]:
+            if w in orbit or not _fits(F, cols, base[:i], w):
                 continue
-            rows = _extend(F, ip, by_level, base[:i] + [c])
+            rows = _extend(F, cols, shells, base[:i] + [w])
             if rows is not None:
-                gens.append(tuple(cands[a] for a in rows))
-                orbit = _orbit(cands[base[i]], gens)
+                gens.append(tuple(rows))
+                orbit = _orbit(base[i], gens)
         order *= len(orbit)
     return IsometryGroup(_in_input_basis(gens, U, U, L.gram, L.gram), order)
 
@@ -175,16 +181,16 @@ def isometry_witness(L1, L2, max_rank=None):
     R2, U2 = lll_reduce(G2)
     bound = max(R[i][i] for R in (R1, R2) for i in range(n))
     _, (F1, F2) = integer_scaled((R1, R2))
-    # one enumeration per side, at one bound: the norm lists, then the table
+    # one enumeration per side, at one bound: the norm lists, then the shells
     vecs1, vecs2 = (enumerate_short_vectors(R, bound, reduced=(R, identity(n)))
                     for R in (R1, R2))
     if [dot(vec_mat(v, F1), v) for v in vecs1] != [dot(vec_mat(v, F2), v) for v in vecs2]:
         return None
-    cands, ip, by_level = _table(F1, F2, vecs2)
-    rows = _extend(F1, ip, by_level, [])
+    cols, shells = _shells(F1, F2, vecs2)
+    rows = _extend(F1, cols, shells, [])
     if rows is None:
         return None
-    return _in_input_basis([tuple(cands[a] for a in rows)], U1, U2, G1, G2)[0]
+    return _in_input_basis([tuple(rows)], U1, U2, G1, G2)[0]
 
 
 def is_isometric(L1, L2, max_rank=None):

@@ -112,9 +112,6 @@ class Block:
     def rank(self):
         return len(self.basis)
 
-    def sort_key(self):
-        return (len(self.basis), tuple(x for row in self.basis for x in row))
-
 
 @dataclass(frozen=True)
 class OrthoDecomposition:

@@ -34,10 +34,6 @@ def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(m, n):
-    return tuple((0,) * n for _ in range(m))
-
-
 def transpose(M):
     return tuple(zip(*M)) if M else ()
 

@@ -3,6 +3,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,16 @@ class TestAutGroup:
             elements = isometry_elements(G)
             assert A.order == len(elements)
             assert group_closure(A.generators) == elements
+        # long blocks: the shell of a short level is a small part of the ball
+        for blocks, order in (([((1,),)] * 3 + [((12,),)], 96),
+                              ([A2, ((15,),)], 24),
+                              ([((1,),), ((5,),), ((5,),)], 16)):
+            G = diag_sum(blocks)
+            G = conjugate(G, random_unimodular(rng, len(G)))
+            A = aut_group(ZLattice(G))
+            elements = isometry_elements(G)
+            assert A.order == len(elements) == order
+            assert group_closure(A.generators) == elements
 
     def test_exact_orders_beyond_closure(self):
         # both orders exceed the cap of an element-by-element closure
@@ -150,6 +161,22 @@ class TestAutGroup:
         for L in (ZLattice(G), ZLattice(conjugate(G, random_unimodular(rng, 8)))):
             assert aut_group(L).order == 696_729_600
         assert aut_group(ZLattice(eye(8))).order == 2 ** 8 * math.factorial(8)
+
+    def test_long_block_in_time_and_memory(self):
+        # Z^6 + <12>: the ball up to norm 12 holds about 10^4 candidates, but
+        # six levels search only the 12 vectors of norm 1
+        G = conjugate(diag_sum([eye(6), ((12,),)]), random_unimodular(random.Random(3), 7))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            order = aut_group(ZLattice(G)).order
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert order == 2 ** 6 * math.factorial(6) * 2
+        assert elapsed < 5.0
+        assert peak < 64 * 2 ** 20
 
     def test_rank_guard(self, monkeypatch):
         with pytest.raises(RankTooLargeError):
@@ -186,6 +213,11 @@ class TestIsometric:
                 WF = as_fraction_matrix(isometry_witness(L1, L2))
                 assert mat_mul(mat_mul(WF, L2.gram), transpose(WF)) == L1.gram
         assert differ
+        # two scramblings of one lattice with a long block
+        G = diag_sum([((1,),)] * 3 + [((12,),)])
+        L1, L2 = (ZLattice(conjugate(G, random_unimodular(rng, 4))) for _ in range(2))
+        WF = as_fraction_matrix(isometry_witness(L1, L2))
+        assert mat_mul(mat_mul(WF, L2.gram), transpose(WF)) == L1.gram
 
     def test_rows_come_from_the_second_lattice(self):
         # the rows of W are vectors of the second lattice: on these pairs
@@ -208,6 +240,8 @@ class TestIsometric:
     def test_equal_determinant_different_norms(self):
         assert is_isometric(
             ZLattice(((2, 0), (0, 2))), ZLattice(((1, 0), (0, 4)))) is False
+        assert isometry_witness(
+            ZLattice(((2, 0), (0, 6))), ZLattice(((3, 0), (0, 4)))) is None
 
     def test_rank_mismatch(self):
         assert is_isometric(ZLattice(((1,),)), ZLattice(eye(2))) is False

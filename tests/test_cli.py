@@ -315,6 +315,18 @@ class TestAutCommand:
     def test_verify_neutral(self, cli):
         assert cli("aut", A2) == cli("aut", A2, "--verify")
 
+    def test_long_block_verifies(self, cli):
+        # Z^6 + <12> under a unimodular change of basis
+        gram = {"gram": [[12, -12, 0, 0, 12, 12, 0], [-12, 15, 0, 1, -13, -14, 0],
+                         [0, 0, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0, 0],
+                         [12, -13, 0, 0, 13, 13, 0], [12, -14, 0, 0, 13, 15, 0],
+                         [0, 0, 0, 0, 0, 0, 1]]}
+        code, out, _ = cli("aut", gram, "--verify")
+        assert code == 0
+        report = json.loads(out)
+        assert report["order"] == 92_160
+        assert report["factorization_ok"] is True
+
 
 class TestHermitianCommand:
     def test_gaussian_regular_module(self, cli):
