@@ -43,13 +43,11 @@ from .errors import (
     NoSolutionError,
     NotPositiveDefiniteError,
     NotPositiveInvolutionError,
-    OStabilityError,
     PreconditionError,
     RankTooLargeError,
 )
 from .hermitian import (
     HermitianModule,
-    check_o_stability,
     decompose_hermitian,
     decompose_restriction,
     regular_module,
@@ -102,7 +100,6 @@ __all__ = [
     "NoSolutionError",
     "NotPositiveDefiniteError",
     "NotPositiveInvolutionError",
-    "OStabilityError",
     "OrthoDecomposition",
     "PolarisedComplexStructure",
     "PreconditionError",
@@ -114,7 +111,6 @@ __all__ = [
     "check_l_eq_lstar",
     "check_l_eq_r",
     "check_nd",
-    "check_o_stability",
     "check_positive_involution",
     "check_ss",
     "decompose",

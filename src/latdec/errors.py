@@ -70,7 +70,3 @@ class InternalError(LatdecError):
 
 class IncompleteDecompositionError(InternalError):
     """Computed blocks do not span the full lattice."""
-
-
-class OStabilityError(InternalError):
-    """A computed block is not stable under the order action."""

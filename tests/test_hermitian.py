@@ -12,7 +12,6 @@ from latdec.errors import (
 )
 from latdec.hermitian import (
     HermitianModule,
-    check_o_stability,
     decompose_hermitian,
     decompose_restriction,
     regular_module,
@@ -166,6 +165,9 @@ class TestRegularModuleMatchesValidated:
         for R in self.orders():
             M, V = regular_module(R), validated_regular_module(R)
             assert M.action == V.action
+            assert all(type(x) is int
+                       for X in (M, V) for A in X.action for row in A for x in row)
+            assert all(type(x) is int for row in M.trace_gram for x in row)
             assert M.form == V.form
             assert M.trace_gram == V.trace_gram == star_trace_form(R.algebra, R.involution)
             assert M.rank == V.rank == R.dim
@@ -243,7 +245,7 @@ class TestDecompose:
                   product_module()):
             D = decompose_hermitian(M)
             for b in D.blocks:
-                assert check_o_stability(M, b.basis)
+                assert o_stable(M.action, b.basis)
                 assert len(decompose_restriction(M, b.basis)) == 1
 
 
@@ -267,7 +269,7 @@ class TestVerify:
         # over Z with form A2, {e1} and {e2} stack and are O-stable
         M = q_module(((2, -1), (-1, 2)))
         D = claimed(M, (((1, 0),), ((0, 1),)))
-        assert all(check_o_stability(M, b.basis) for b in D.blocks)
+        assert all(o_stable(M.action, b.basis) for b in D.blocks)
         assert not verify_hermitian_decomposition(M, D)
 
     def test_rejects_a_decomposable_block(self):
@@ -338,18 +340,11 @@ class TestRegularModuleAgainstOracle:
 
 
 class TestOStability:
-    def test_full_lattice(self):
-        M = regular_module(gaussian_order())
-        assert check_o_stability(M, ((1, 0), (0, 1))) is True
-
-    def test_real_axis_is_not_stable(self):
-        # i maps 1 out of the span of 1
-        M = regular_module(gaussian_order())
-        assert check_o_stability(M, ((1, 0),)) is False
-
     def test_against_fraction_oracle(self):
-        # blocks and the ideals O*v are stable; prefixes of a random basis
-        # mostly not, nor an ideal with one more row, which fails on that row
+        # blocks, the blocks of a restriction to the whole lattice in a
+        # random basis or to a block, and the ideals O*v are stable;
+        # prefixes of a random basis mostly not, nor an ideal with one
+        # more row, which fails on that row
         rng = random.Random(41)
         verdicts = []
         for R in (gaussian_order(), zxz(), matrix_order(2), klein_four_ring(),
@@ -357,15 +352,16 @@ class TestOStability:
             for R in (R, change_basis(R, random_unimodular(rng, R.dim))):
                 M = regular_module(R)
                 U = random_unimodular(rng, M.rank)
-                spans = [b.basis for b in decompose_hermitian(M).blocks]
+                blocks = [b.basis for b in decompose_hermitian(M).blocks]
+                blocks += [tuple(vec_mat(r, rows) for r in sub)
+                           for rows in [U] + blocks for sub in decompose_restriction(M, rows)]
                 ideals = [hnf_basis(tuple(mat_vec(A, v) for A in M.action)) for v in U[:2]]
-                spans += ideals + [U[:k] for k in range(1, M.rank + 1)]
-                spans += [I + (w,) for I in ideals for w in U[-1:]
-                          if rational_rank(I + (w,)) == len(I) + 1]
-                for rows in spans:
-                    verdicts.append(o_stable(M.action, rows))
-                    assert check_o_stability(M, rows) is verdicts[-1]
-        assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+                assert all(o_stable(M.action, rows) for rows in blocks + ideals)
+                others = [U[:k] for k in range(1, M.rank + 1)]
+                others += [I + (w,) for I in ideals for w in U[-1:]
+                           if rational_rank(I + (w,)) == len(I) + 1]
+                verdicts += [o_stable(M.action, rows) for rows in others]
+        assert verdicts.count(False) >= 20
 
 
 class TestEdgePredicateEquivalence:
