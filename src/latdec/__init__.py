@@ -33,7 +33,6 @@ from .aut import (
     verify_aut_factorization,
 )
 from .errors import (
-    BoundTooSmallError,
     IncompleteDecompositionError,
     InternalError,
     InvalidHodgeStructureError,
@@ -82,7 +81,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Block",
-    "BoundTooSmallError",
     "FiniteDimAlgebra",
     "HermitianModule",
     "HodgeBlock",

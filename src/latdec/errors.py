@@ -56,10 +56,6 @@ class NoSolutionError(LatdecError):
     """Linear system is inconsistent."""
 
 
-class BoundTooSmallError(LatdecError):
-    """Primitivity was asked about a vector outside the enumerated ball."""
-
-
 class RankTooLargeError(LatdecError):
     """Desk-scale guard tripped; override with LATDEC_MAX_RANK."""
 

@@ -2,39 +2,31 @@
 
 A lattice is presented by its Gram matrix alone; vectors are integer
 coordinate tuples.  decompose() splits the lattice into its unique
-family of pairwise orthogonal indecomposable sublattices:
+family of pairwise orthogonal indecomposable sublattices (Eichler):
 
-  1. LLL-reduce once; let B be the largest diagonal entry of the reduced
-     Gram.
-  2. Enumerate S, the vectors of norm at most B, from that reduction
-     (the reduced basis is in S, so S generates the lattice).
-  3. Keep the primitive elements P of S: x is primitive when it admits no
-     splitting x = y + z into nonzero orthogonal parts.  Norms add along
-     such splittings, so a witness y lives in +-S with norm(y) < norm(x),
-     a finite search of a few integer dot products per y (_witness_split).
-     Every element of S is a sum of primitives of no larger norm, hence P
-     still generates.
-  4. Group P into connected components under "f(u, v) is nonzero" and
-     span each over Z (HNF bases).  The spans are already pairwise
-     orthogonal: primitives in different components pair to zero and the
-     pairing is Z-bilinear.
-  5. Assert the blocks stack to a unimodular basis, sort canonically.
+  1. Scale the Gram to integers and LLL-reduce it once (lll_integral).
+  2. Pop x from a stack that starts as the reduced basis.  x splits as
+     y + (x - y) with f(y, x - y) = 0 exactly when u = 2y - x lies on
+     its Thales sphere: u = x (mod 2), norm(u) = norm(x), u != +-x
+     (sphere_point).  Push y and x - y, both shorter, or keep x.
+  3. The kept vectors are indecomposable and generate the lattice, and
+     each lies in one block, so their connected components under
+     "f(u, v) is nonzero" span the blocks (merge_blocks).
 
-Steps 4 and 5 are merge_blocks.  split(gram, operators) serves every
-finer splitting: orthogonal for a positive Gram and stable under
-operators whose span is closed under the gram-adjoint (an order acting
-on a Hermitian module, with the trace form; j, with psi(x, jy)).  Its
-blocks join the Z-blocks whose rows have gram(A r, s) nonzero for an
-operator A.  audit_blocks and is_finest audit a splitting of any pair.
+Sphere-search nodes count against DECOMPOSE_MAX_NODES per decomposition.
+split(gram, operators) serves every finer splitting: orthogonal for a
+positive Gram and stable under operators whose span is closed under the
+gram-adjoint (an order acting on a Hermitian module, with the trace
+form; j, with psi(x, jy)).  Its blocks join the Z-blocks whose rows have
+gram(A r, s) nonzero for an operator A.  audit_blocks and is_finest
+audit a splitting of any pair.
 """
 
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .errors import (
-    BoundTooSmallError,
     IncompleteDecompositionError,
     InvalidInputError,
     NotPositiveDefiniteError,
@@ -43,21 +35,25 @@ from .errors import (
 from .linalg import (
     as_fraction_matrix,
     dot,
-    enumerate_short_vectors,
     gram_value,
     hnf_basis,
+    identity,
     integer_scaled,
+    inverse,
     is_symmetric,
     is_unimodular,
-    lll_reduce,
+    lll_integral,
     mat_mul,
     mat_vec,
     first_nonpositive_minor,
+    sphere_point,
+    to_int_matrix,
     transpose,
     vec_mat,
 )
 
 DECOMPOSE_MAX_RANK = 12
+DECOMPOSE_MAX_NODES = 10 ** 6  # > 3000x the most any test or benchmark input takes
 
 
 def resolve_max_rank(default, override=None):
@@ -121,43 +117,21 @@ class OrthoDecomposition:
         return frozenset(b.basis for b in self.blocks)
 
 
-def restrict_gram(gram, basis_rows):
-    """The Gram M*G*M^T of the integer rows M, formed on G scaled to integers."""
-    s, (G,) = integer_scaled((gram,))
+def restrict_gram(gram, basis_rows, scale=None):
+    """The Gram M*G*M^T of the integer rows M, formed on G scaled to integers;
+    with scale, gram is already G times scale, in ints."""
+    s, (G,) = (scale, (gram,)) if scale else integer_scaled((gram,))
     return tuple(tuple(Fraction(x, s) for x in row)
                  for row in mat_mul(mat_mul(basis_rows, G), transpose(basis_rows)))
 
 
-def _witness_split(col, below):
-    """A y in below (all shorter than x) such that y or -y splits off from x.
-
-    col is the column G x^T of the integer Gram G, so f(y, x) = y . col,
-    and below yields pairs (y, f(y, y)).  As f(+-y, x -+ y) = +-f(y, x) -
-    f(y, y), the test is |f(y, x)| = f(y, y).
-    """
-    for y, norm in below:
-        if abs(dot(y, col)) == norm:
-            return y
-    return None
-
-
-def is_primitive(L, x, short_vectors, bound=None):
-    """Primitivity of x relative to the enumerated ball.
-
-    short_vectors must come from enumerate_short_vectors with a bound no
-    smaller than norm(x); since the bound itself is not recoverable from
-    the list, it can be passed explicitly, else the largest norm present
-    is used.  Raises BoundTooSmallError when norm(x) exceeds it.
-    """
-    s, (G,) = integer_scaled((L.gram,))
-    norms = {v: dot(mat_vec(G, v), v) for v in short_vectors}
-    nx = dot(mat_vec(G, x), x)
-    limit = Fraction(bound) * s if bound is not None else max(norms.values(), default=0)
-    if nx > limit:
-        raise BoundTooSmallError("norm %s exceeds enumerated bound %s"
-                                 % (Fraction(nx, s), Fraction(limit, s)))
-    below = [(v, norms[v]) for v in short_vectors if norms[v] < nx]
-    return _witness_split(mat_vec(G, x), below) is None
+def is_primitive(L, x):
+    """Whether x admits no splitting x = y + z into nonzero orthogonal parts:
+    its Thales sphere, searched on the LLL-reduced basis, holds only +-x."""
+    s, (A,) = integer_scaled((L.gram,))
+    R, U, d, lam = lll_integral(A, s)
+    a = vec_mat(x, to_int_matrix(inverse(U)))
+    return sphere_point(d, lam, a, dot(a, mat_vec(R, a)), 0, DECOMPOSE_MAX_NODES)[0] is None
 
 
 def _connected_components(items, related):
@@ -201,30 +175,29 @@ def merge_blocks(n, spans, coupled):
 
 
 def decompose_pipeline(gram, max_rank=None):
-    """Sorted HNF bases of the Z-blocks of a positive definite rational Gram."""
+    """Sorted HNF bases of the Z-blocks of a positive definite Gram (rational,
+    or scaled to ints)."""
     n = len(gram)
     limit = resolve_max_rank(DECOMPOSE_MAX_RANK, max_rank)
     if n > limit:
         raise RankTooLargeError(
             "rank %d exceeds decomposition guard %d (set LATDEC_MAX_RANK to override)"
             % (n, limit))
-    gram = as_fraction_matrix(gram)
-    reduced = lll_reduce(gram)
-    bound = max((reduced[0][i][i] for i in range(n)), default=0)
-    shorts = enumerate_short_vectors(gram, bound, reduced)
-    _, (G,) = integer_scaled((gram,))
-    done = []  # (y, f(y, y)) for the vectors y before x
-    cols = {}  # the primitives, with their columns G x^T
-    level = 0  # done[:level] are the vectors of smaller norm than x
-    for i, x in enumerate(shorts):
-        col = mat_vec(G, x)
-        norm = dot(x, col)
-        if i and norm != done[level][1]:
-            level = i
-        if _witness_split(col, islice(done, level)) is None:
-            cols[x] = col
-        done.append((x, norm))
-    return merge_blocks(n, [(x,) for x in cols], lambda r, s: dot(s, cols[r]))
+    integral = all(type(x) is int for row in gram for x in row)
+    s, (A,) = (1, (gram,)) if integral else integer_scaled((gram,))
+    R, U, d, lam = lll_integral(A, s)
+    stack, kept, nodes = list(identity(n)), {}, 0  # kept: x U -> (x, R x^T)
+    while stack:
+        x = stack.pop()
+        col = mat_vec(R, x)
+        u, nodes = sphere_point(d, lam, x, dot(x, col), nodes, DECOMPOSE_MAX_NODES)
+        if u is None:
+            kept[vec_mat(x, U)] = (x, col)
+        else:
+            y = tuple((a + b) // 2 for a, b in zip(x, u))
+            stack += (y, tuple(a - b for a, b in zip(x, y)))
+    return merge_blocks(n, [(v,) for v in kept],
+                        lambda r, t: dot(kept[t][0], kept[r][1]))
 
 
 def split(gram, operators=(), rows=None, max_rank=None):
@@ -248,10 +221,9 @@ def split(gram, operators=(), rows=None, max_rank=None):
 
 def decompose(L, max_rank=None):
     """Unique orthogonal decomposition into indecomposable sublattices."""
-    G = L.gram
-    bases = split(G, max_rank=max_rank)
-    blocks = tuple(Block(basis=b, gram=restrict_gram(G, b)) for b in bases)
-    return OrthoDecomposition(blocks)
+    s, (A,) = integer_scaled((L.gram,))
+    return OrthoDecomposition(tuple(Block(basis=b, gram=restrict_gram(A, b, s))
+                                    for b in decompose_pipeline(A, max_rank)))
 
 
 def is_indecomposable(L, max_rank=None):
@@ -264,12 +236,17 @@ def audit_blocks(gram, bases, operators=()):
     the identity or an operator.  With the stacking, that is orthogonality
     and stability under the operators; their span must be closed under
     the gram-adjoint, as for split, so one order of r and s suffices."""
+    _, (T, *ops) = integer_scaled((gram, *operators))
+    return _audit(T, ops, bases)
+
+
+def _audit(T, ops, bases):
+    """audit_blocks on the Gram and the operators scaled to integers."""
     if any(not b or hnf_basis(b) != b for b in bases):
         return False
     stacked = tuple(row for b in bases for row in b)
-    if len(stacked) != len(gram) or not is_unimodular(stacked):
+    if len(stacked) != len(T) or not is_unimodular(stacked):
         return False
-    _, (T, *ops) = integer_scaled((gram, *operators))
     cols = []  # the columns T s of the rows of the blocks before b
     for b in bases:
         probes = [v for r in b for v in (r, *(mat_vec(A, r) for A in ops))]
@@ -285,9 +262,10 @@ def is_finest(gram, bases, operators=()):
 
 
 def verify_decomposition(L, decomposition):
-    """Read-only audit: restricted Grams, audit_blocks, indecomposability."""
-    G, blocks = L.gram, decomposition.blocks
-    # maximality on each block's own Gram, once it is known to be the restriction
-    return (all(b.gram == restrict_gram(G, b.basis) for b in blocks)
-            and audit_blocks(G, [b.basis for b in blocks])
-            and all(len(split(b.gram)) == 1 for b in blocks))
+    """Read-only audit: restricted Grams and audit_blocks, on L's Gram scaled
+    to integers once, then indecomposability of each block's Gram."""
+    s, (A,) = integer_scaled((L.gram,))
+    blocks = decomposition.blocks
+    return (all(b.gram == restrict_gram(A, b.basis, s) for b in blocks)
+            and _audit(A, (), [b.basis for b in blocks])
+            and all(len(decompose_pipeline(b.gram)) == 1 for b in blocks))

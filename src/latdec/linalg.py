@@ -12,20 +12,20 @@ _echelon (Bareiss, Math. Comp. 22 (1968)): det, inverse, rational_rank,
 solve_rational, solve_rational_columns (many right-hand sides against
 one matrix) and first_nonpositive_minor are thin readings of it.
 
-lll_reduce is Cohen's integral LLL (Alg. 2.6.7): it updates integer
-Gram-Schmidt data in place.  enumerate_short_vectors is Fincke-Pohst
-(Math. Comp. 44 (1985)) on the same integral data of the reduced Gram:
-every quantity in the search is an integer, and each coordinate range is
-one isqrt and two floor divisions.  integer_scaled gives rational
-matrices one common integer scale, the form in which the decomposition
-pipeline pairs.
+lll_integral is Cohen's integral LLL (Alg. 2.6.7): it updates integer
+Gram-Schmidt data in place and returns them with the reduced Gram.  One
+Fincke-Pohst descent (Math. Comp. 44 (1985)) on such data, all in
+integers, serves enumerate_short_vectors (a ball) and sphere_point (a
+shell of a coset of 2Z^n).  integer_scaled gives rational matrices one
+common integer scale, the form in which the decomposition pipeline pairs.
 """
 
 import math
 from fractions import Fraction
 from operator import add, mul
 
-from .errors import InvalidInputError, NoSolutionError, NotPositiveDefiniteError
+from .errors import (InvalidInputError, NoSolutionError, NotPositiveDefiniteError,
+                     RankTooLargeError)
 
 LLL_DELTA = Fraction(99, 100)
 
@@ -337,20 +337,13 @@ def _integral_gso(A, scale):
     return d, lam
 
 
-def lll_reduce(G, delta=LLL_DELTA):
-    """LLL reduction of a positive definite Gram matrix, in integers.
-
-    Returns (G', U) with G' = U*G*U^T LLL-reduced for the given delta
-    (default 99/100) and U unimodular.  Integral LLL (Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 2.6.7) on the Gram matrix
-    scaled to integers: a size reduction, by q = floor(mu + 1/2) against
-    j = k-1, ..., 0, updates one row of lam; a swap updates d[k] and the
-    lam entries below it.  No vector embedding, no floating point.
-    """
-    n = len(G)
-    if not is_symmetric(G):
-        raise InvalidInputError("gram: matrix is not symmetric")
-    scale, (A,) = integer_scaled((G,))
+def lll_integral(A, scale=1, delta=LLL_DELTA):
+    """(R, U, d, lam) for an integer Gram A: R = U*A*U^T LLL-reduced, U
+    unimodular, d, lam the integral Gram-Schmidt data of R.  Cohen's Alg.
+    2.6.7: a size reduction, by q = floor(mu + 1/2) against j = k-1, ...,
+    0, updates one row of lam; a swap updates d[k] and the lam entries
+    below it.  scale, the factor A carries, only words the PD error."""
+    n = len(A)
     d, lam = _integral_gso(A, scale)  # PD check up front
     U = [list(row) for row in identity(n)]
     p, q = Fraction(delta).as_integer_ratio()
@@ -382,10 +375,17 @@ def lll_reduce(G, delta=LLL_DELTA):
             li[k - 1] = (b * t + l * li[k]) // d[k + 1]
         d[k] = b
         k = max(k - 1, 1)
-    Ured = tuple(tuple(row) for row in U)
-    Gred = tuple(tuple(Fraction(x, scale) for x in row)
-                 for row in mat_mul(mat_mul(Ured, A), transpose(Ured)))
-    return Gred, Ured
+    U = tuple(tuple(row) for row in U)
+    return mat_mul(mat_mul(U, A), transpose(U)), U, d, lam
+
+
+def lll_reduce(G, delta=LLL_DELTA):
+    """(G', U): lll_integral on the rational Gram G scaled to integers."""
+    if not is_symmetric(G):
+        raise InvalidInputError("gram: matrix is not symmetric")
+    scale, (A,) = integer_scaled((G,))
+    R, U, _, _ = lll_integral(A, scale, delta)
+    return tuple(tuple(Fraction(x, scale) for x in row) for row in R), U
 
 
 def canonical_sign(v):
@@ -396,24 +396,67 @@ def canonical_sign(v):
     return v
 
 
-def enumerate_short_vectors(G, bound, reduced=None):
-    """All nonzero integer vectors with 0 < v*G*v^T <= bound, one per +- pair.
+def _fincke_pohst(d, lam, U, num, den, out=None, residues=None, avoid=(), nodes=0,
+                  cap=math.inf):
+    """Fincke-Pohst over the integer x with norm(x) = x*A*x^T <= num / den.
 
-    G must be symmetric positive definite with rational entries.  The
-    result is sorted by (norm, lexicographic order) and each vector is
-    sign-normalised so its first nonzero coordinate is positive.  reduced
-    is the (G', U) of lll_reduce(G) when the caller already has it.
-
-    Fincke-Pohst in integers on the reduced basis.  With s*G' = A and
-    the integral Gram-Schmidt data d, lam of A, a vector x in reduced
-    coordinates has norm sum t_i^2 / (s*d_i*d_(i+1)), where t_i =
-    d_(i+1)*x_i + sum_(j>i) lam[j][i]*x_j.  For bound = P/Q and L the lcm
-    of the d_i*d_(i+1), the budget is s*P*L and level i spends w_i*t_i^2
-    of it, w_i = Q*L / (d_i*d_(i+1)); the range of x_i is one isqrt and
-    two floor divisions.  The highest nonzero reduced coordinate is kept
-    positive, which visits each +- pair once, and a leaf's norm is its
-    spent budget over Q*L*s.
+    d, lam are the integral Gram-Schmidt data of A: norm(x) sums t_i^2 /
+    (d_i*d_(i+1)), t_i = d_(i+1)*x_i + sum_(j>i) lam[j][i]*x_j, and level
+    i spends w_i*t_i^2 = den*L*t_i^2 / (d_i*d_(i+1)) of the budget num*L,
+    L the lcm of the d_i*d_(i+1).  With residues, x runs over residues +
+    2Z^n in steps of 2.  The top nonzero x_i stays positive.  Each x is
+    seen as v = x*U with rest, the budget left: with out a list, every
+    (-rest, canonical_sign(v)) goes into it, else the search stops at the
+    first v on the shell (rest 0) not in avoid.  Returns (that v or None,
+    nodes plus the nodes visited); more than cap is RankTooLargeError.
     """
+    n = len(U)
+    L = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
+    w = [den * L // (d[i] * d[i + 1]) for i in range(n)]
+    step, residues = (1, (0,) * n) if residues is None else (2, residues)
+    strides = [tuple(step * a for a in row) for row in U]
+    x = [0] * n
+
+    def descend(i, left, v, top):
+        # on entry v = sum_(j>i) x_j U_j; top: every x_j with j > i is zero
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise RankTooLargeError(
+                "sphere search: %d nodes exceed the decomposition work guard %d"
+                % (nodes, cap))
+        D, wi, Ui = d[i + 1], w[i], U[i]
+        c = sum(lam[j][i] * x[j] for j in range(i + 1, n) if x[j])
+        k = math.isqrt(left // wi)
+        lo = 0 if top else -((k + c) // D)
+        lo += (residues[i] - lo) % step
+        v = tuple(a + lo * b for a, b in zip(v, Ui))  # then x_i*U_i added
+        for xi in range(lo, (k - c) // D + 1, step):
+            t = D * xi + c
+            rest = left - wi * t * t
+            if i:
+                x[i] = xi
+                found = descend(i - 1, rest, v, top and not xi)
+                if found:
+                    return found
+            elif out is not None:
+                if xi or not top:
+                    out.append((-rest, canonical_sign(v)))
+            elif not rest and v not in avoid:
+                return v
+            v = tuple(map(add, v, strides[i]))
+        x[i] = 0
+
+    found = descend(n - 1, num * L, (0,) * n, True) if n else None
+    del descend  # a self-referencing closure: free it without the GC
+    return found, nodes
+
+
+def enumerate_short_vectors(G, bound, reduced=None):
+    """All nonzero integer vectors with 0 < v*G*v^T <= bound, one per +- pair,
+    sorted by (norm, lexicographic order), first nonzero coordinate positive.
+    G is rational, symmetric and positive definite; reduced is the (G', U)
+    of lll_reduce(G) when the caller already has it."""
     n = len(G)
     if not is_symmetric(G):
         raise InvalidInputError("gram: matrix is not symmetric")
@@ -423,31 +466,15 @@ def enumerate_short_vectors(G, bound, reduced=None):
     Gred, U = reduced or lll_reduce(G)
     s, (A,) = integer_scaled((Gred,))
     d, lam = _integral_gso(A, s)
-    L = math.lcm(*(d[i] * d[i + 1] for i in range(n)))
-    w = [Q * L // (d[i] * d[i + 1]) for i in range(n)]
-    budget = s * P * L
-    x = [0] * n
-    found = []  # (spent budget, canonical vector)
-
-    def descend(i, left, v, top):
-        # on entry v = sum_(j>i) x_j U_j; top: every x_j with j > i is zero
-        D, wi, Ui = d[i + 1], w[i], U[i]
-        c = sum(lam[j][i] * x[j] for j in range(i + 1, n) if x[j])
-        k = math.isqrt(left // wi)
-        lo = 0 if top else -((k + c) // D)
-        v = tuple(a + lo * b for a, b in zip(v, Ui))  # then x_i*U_i added
-        for xi in range(lo, (k - c) // D + 1):
-            t = D * xi + c
-            rest = left - wi * t * t
-            if i:
-                x[i] = xi
-                descend(i - 1, rest, v, top and not xi)
-            elif xi or not top:
-                found.append((budget - rest, canonical_sign(v)))
-            v = tuple(map(add, v, Ui))
-        x[i] = 0
-
-    descend(n - 1, budget, (0,) * n, True)
-    del descend  # a self-referencing closure: free it without the GC
+    found = []  # (minus the budget left, canonical vector)
+    _fincke_pohst(d, lam, U, s * P, Q, found)
     found.sort()
     return tuple(v for _, v in found)
+
+
+def sphere_point(d, lam, x, norm, nodes=0, cap=math.inf):
+    """(u or None, nodes plus the nodes visited) for u on the Thales sphere
+    of x: u = x (mod 2), norm(u) = norm(x) = norm, u != +-x.  Every split
+    x = y + (x - y) into orthogonal nonzero parts has y = (x + u) / 2."""
+    return _fincke_pohst(d, lam, identity(len(x)), norm, 1, None, tuple(a % 2 for a in x),
+                         (x, tuple(-a for a in x)), nodes, cap)

@@ -145,3 +145,12 @@ def product_order(a, b):
             S[da + i][da + j] = int(b.involution.matrix[i][j])
     alg = FiniteDimAlgebra(structure, one)
     return InvolutiveOrder(alg, Involution(alg, S))
+
+
+def real_quadratic_order(D):
+    """Z[s] with s^2 = D > 0 and the identity involution; basis {1, s}.
+
+    Its trace form is diag(2, 2D), so a large D spreads the norms apart.
+    """
+    alg = FiniteDimAlgebra([[[1, 0], [0, 1]], [[0, 1], [D, 0]]], [1, 0])
+    return InvolutiveOrder(alg, Involution(alg, [[1, 0], [0, 1]]))

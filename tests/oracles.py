@@ -10,18 +10,33 @@ ranks and solutions from the permutation expansion and Cramer's rule,
 orthogonal splittings from Fraction pairings evaluated straight from the
 definition, polarised splittings from idempotents of the endomorphism
 order, and the algebra and involution laws from Fraction products of
-basis elements.
+basis elements.  The one exception is ball_pipeline, the decomposition
+engine the sphere split replaced, kept as it was: it checks the sphere
+split by another algorithm, on the library's ball enumeration.
 """
 
 import itertools
 import math
 import operator
 from fractions import Fraction
+from itertools import islice
 
-from latdec.errors import NotPositiveDefiniteError
+from latdec.errors import NotPositiveDefiniteError, RankTooLargeError
 from latdec.hodge import _commutant_matrix_basis, endomorphism_order
 from latdec.idempotents import decompose_unity
-from latdec.linalg import as_fraction_matrix, gram_value, hnf_basis, inverse, mat_mul
+from latdec.lattice import DECOMPOSE_MAX_RANK, merge_blocks, resolve_max_rank
+from latdec.linalg import (
+    as_fraction_matrix,
+    dot,
+    enumerate_short_vectors,
+    gram_value,
+    hnf_basis,
+    integer_scaled,
+    inverse,
+    lll_reduce,
+    mat_mul,
+    mat_vec,
+)
 
 
 def _box_radii(G, bound):
@@ -318,6 +333,53 @@ def oracle_blocks(gram, pair):
             comp.extend(linked)
         spans.append(hnf_basis(comp))
     return frozenset(spans)
+
+
+def _witness_split(col, below):
+    """A y in below (all shorter than x) such that y or -y splits off from x.
+
+    col is the column G x^T of the integer Gram G, so f(y, x) = y . col,
+    and below yields pairs (y, f(y, y)).  As f(+-y, x -+ y) = +-f(y, x) -
+    f(y, y), the test is |f(y, x)| = f(y, y).
+    """
+    for y, norm in below:
+        if abs(dot(y, col)) == norm:
+            return y
+    return None
+
+
+def ball_pipeline(gram, max_rank=None):
+    """Sorted HNF bases of the Z-blocks of a positive definite rational Gram.
+
+    The former lattice.decompose_pipeline, with its signature: it
+    enumerates the ball S up to the largest reduced norm, keeps the
+    primitive vectors of S (no shorter y in S splits off) and joins them
+    by "f(u, v) is nonzero".  Its time grows with the spread of the
+    reduced norms, so it serves only where they are narrow.
+    """
+    n = len(gram)
+    limit = resolve_max_rank(DECOMPOSE_MAX_RANK, max_rank)
+    if n > limit:
+        raise RankTooLargeError(
+            "rank %d exceeds decomposition guard %d (set LATDEC_MAX_RANK to override)"
+            % (n, limit))
+    gram = as_fraction_matrix(gram)
+    reduced = lll_reduce(gram)
+    bound = max((reduced[0][i][i] for i in range(n)), default=0)
+    shorts = enumerate_short_vectors(gram, bound, reduced)
+    _, (G,) = integer_scaled((gram,))
+    done = []  # (y, f(y, y)) for the vectors y before x
+    cols = {}  # the primitives, with their columns G x^T
+    level = 0  # done[:level] are the vectors of smaller norm than x
+    for i, x in enumerate(shorts):
+        col = mat_vec(G, x)
+        norm = dot(x, col)
+        if i and norm != done[level][1]:
+            level = i
+        if _witness_split(col, islice(done, level)) is None:
+            cols[x] = col
+        done.append((x, norm))
+    return merge_blocks(n, [(x,) for x in cols], lambda r, s: dot(s, cols[r]))
 
 
 def hodge_by_order(H):

@@ -1,18 +1,23 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
 import json
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 import latdec.cli
+import latdec.lattice
 from latdec.cli import main
 from latdec.hermitian import regular_module
 from latdec.hodge import HodgeBlock, HodgeDecomposition, PolarisedComplexStructure
 from latdec.idempotents import IdempotentDecomposition
 from latdec.lattice import Block, OrthoDecomposition, restrict_gram
+from latdec.linalg import hnf_basis, inverse, mat_mul, to_int_matrix, transpose
 from builders import gaussian_order, matrix_order, zxz
+from oracles import random_unimodular
 
 I3 = {"gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 A2 = {"gram": [[2, -1], [-1, 2]]}
@@ -182,6 +187,66 @@ class TestGuards:
         big = {"gram": [[1 if i == j else 0 for j in range(9)] for i in range(9)]}
         code, _, _ = cli("aut", big)
         assert code == 3
+
+    def test_work_guard_exits_3(self, cli, monkeypatch):
+        monkeypatch.setattr(latdec.lattice, "DECOMPOSE_MAX_NODES", 3)
+        code, out, err = cli("decompose", A2)
+        assert (code, out) == (3, "")
+        assert "sphere search: 4 nodes exceed the decomposition work guard 3" in err
+
+
+def block_sum(grams):
+    n = sum(len(g) for g in grams)
+    out, off = [[0] * n for _ in range(n)], 0
+    for g in grams:
+        for i, row in enumerate(g):
+            out[off + i][off:off + len(row)] = row
+        off += len(g)
+    return tuple(tuple(row) for row in out)
+
+
+def e8():
+    edges = ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4))
+    G = [[2 * (i == j) for j in range(8)] for i in range(8)]
+    for a, b in edges:
+        G[a - 1][b - 1] = G[b - 1][a - 1] = -1
+    return tuple(tuple(row) for row in G)
+
+
+class TestWideNorms:
+    """Block norms spread far apart, on which the former ball enumeration
+    ran for more than 20 s: each input exits 0 with its planted blocks, in
+    a random basis, under --verify."""
+
+    @pytest.mark.parametrize("grams", [
+        [((10 ** 30,),), ((1,),)],
+        [((1,),)] * 7 + [((50,),)],
+        [((2, -1), (-1, 2))] * 4 + [((97,),)],
+        [e8(), ((1000,),)],
+    ], ids=["diag(10^30, 1)", "Z^7 + <50>", "A2^4 + <97>", "E8 + <1000>"])
+    def test_scrambled_planted_sums(self, cli, grams):
+        n = sum(len(g) for g in grams)
+        U = random_unimodular(random.Random(1), n, 3, 12 + 2 * n)
+        V = to_int_matrix(inverse(U))
+        planted, off = [], 0
+        for g in grams:
+            planted.append(hnf_basis(tuple(V[off + i] for i in range(len(g)))))
+            off += len(g)
+        gram = mat_mul(mat_mul(U, block_sum(grams)), transpose(U))
+        started = time.perf_counter()
+        code, out, _ = cli("decompose", {"gram": [list(row) for row in gram]}, "--verify")
+        assert time.perf_counter() - started < 2
+        assert code == 0
+        assert sorted(tuple(map(tuple, b["basis"])) for b in json.loads(out)["blocks"]) \
+            == sorted(planted)
+
+    def test_indecomposable_long_plane(self, cli):
+        started = time.perf_counter()
+        code, out, _ = cli("decompose", {"gram": [[2, 1], [1, 10 ** 30]]}, "--verify")
+        assert time.perf_counter() - started < 2
+        assert code == 0
+        assert json.loads(out)["blocks"] == [
+            {"basis": [[1, 0], [0, 1]], "gram": [["2", "1"], ["1", str(10 ** 30)]]}]
 
 
 class TestIdempotentsCommand:

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from latdec import lattice, linalg
 from latdec.errors import (
-    BoundTooSmallError,
     IncompleteDecompositionError,
     InvalidInputError,
     NotPositiveDefiniteError,
@@ -29,6 +29,7 @@ from latdec.lattice import (
 from latdec.linalg import (
     as_fraction_matrix,
     enumerate_short_vectors,
+    sphere_point,
     gram_value,
     hnf_basis,
     inverse,
@@ -119,36 +120,20 @@ class TestZLattice:
 
 class TestIsPrimitive:
     def test_unit_vector_in_z2(self):
-        L = ZLattice(I2)
-        S = enumerate_short_vectors(L.gram, 2)
-        assert is_primitive(L, (1, 0), S) is True
+        assert is_primitive(ZLattice(I2), (1, 0)) is True
 
     def test_diagonal_vector_in_z2_splits(self):
-        L = ZLattice(I2)
-        S = enumerate_short_vectors(L.gram, 2)
-        assert is_primitive(L, (1, 1), S) is False
+        assert is_primitive(ZLattice(I2), (1, 1)) is False
 
     def test_roots_of_a2(self):
         L = ZLattice(A2)
-        S = enumerate_short_vectors(L.gram, 2)
-        for root in S:
+        for root in enumerate_short_vectors(L.gram, 2):
             assert L.norm(root) == 2
-            assert is_primitive(L, root, S) is True
+            assert is_primitive(L, root) is True
 
-    def test_norm_above_bound_rejected(self):
-        L = ZLattice(A2)
-        S = enumerate_short_vectors(L.gram, 2)
-        with pytest.raises(BoundTooSmallError):
-            is_primitive(L, (1, 1), S)
-
-    def test_explicit_bound_argument(self):
-        L = ZLattice(A2)
-        S = enumerate_short_vectors(L.gram, 6)
+    def test_vector_longer_than_the_basis(self):
         # norm 6; no splitting exists because A2 has no vectors of norm 4
-        assert is_primitive(L, (1, 1), S, bound=6) is True
-        with pytest.raises(BoundTooSmallError):
-            is_primitive(L, (1, 1), S, bound=2)
-
+        assert is_primitive(ZLattice(A2), (1, 1)) is True
 
     def test_against_fraction_witness_search(self):
         # random integer and rational Grams; each ball vector checked
@@ -168,7 +153,7 @@ class TestIsPrimitive:
             for x in S + tuple(tuple(-a for a in v) for v in S):
                 expected = not splits_off(
                     x, S, L.norm, lambda u, v: (gram_value(L.gram, u, v),))
-                assert is_primitive(L, x, S, bound=bound) is expected
+                assert is_primitive(L, x) is expected
 
 
 THIRD = Fraction(1, 3)
@@ -302,6 +287,36 @@ class TestDecompose:
             assert D.bases() == transport_spans(spans, U)
             assert verify_decomposition(L, D)
 
+    def test_split_step_on_an_unreduced_basis(self, monkeypatch):
+        # LLL leaves no reduced basis vector of these sums decomposable, so
+        # the pipeline runs on the scrambled basis itself to split vectors
+        def unreduced(A, scale=1):
+            return (A, linalg.identity(len(A)), *linalg._integral_gso(A, scale))
+
+        found = []
+
+        def counted(*args):
+            u, nodes = sphere_point(*args)
+            found.append(u is not None)
+            return u, nodes
+
+        monkeypatch.setattr(lattice, "lll_integral", unreduced)
+        monkeypatch.setattr(lattice, "sphere_point", counted)
+        rng = random.Random(104)
+        for _ in range(40):
+            blocks = []
+            while sum(map(len, blocks)) < rng.randint(2, 6):
+                blocks.append(PLANT_POOL[rng.randrange(len(PLANT_POOL))])
+            U = random_unimodular(rng, sum(map(len, blocks)), max_abs=2, steps=8)
+            L = ZLattice(conjugate(diag_sum(blocks), U))
+            spans, off = [], 0
+            for g in blocks:
+                spans.append(tuple(tuple(int(c == off + i) for c in range(len(L.gram)))
+                                   for i in range(len(g))))
+                off += len(g)
+            assert decompose(L).bases() == transport_spans(spans, U)
+        assert sum(found) >= 100
+
     def test_scaling_preserves_spans(self):
         rng = random.Random(3)
         G = diag_sum([A2, ((1,),), ((3,),)])
@@ -322,6 +337,17 @@ class TestDecompose:
             decompose(ZLattice(G))
         D = decompose(ZLattice(G), max_rank=13)
         assert len(D.blocks) == 13
+
+    def test_work_guard(self, monkeypatch):
+        # the guard counts sphere-search nodes over the whole decomposition
+        L = ZLattice(conjugate(diag_sum([A2, ((1,),), ((10 ** 30,),)]),
+                               ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1))))
+        assert len(decompose(L).blocks) == 3
+        monkeypatch.setattr(lattice, "DECOMPOSE_MAX_NODES", 3)
+        with pytest.raises(RankTooLargeError, match="sphere search: 4 nodes exceed"):
+            decompose(L)
+        with pytest.raises(RankTooLargeError, match="sphere search"):
+            is_primitive(L, (1, 0, 0, 0))
 
     def test_rank_guard_env(self, monkeypatch):
         monkeypatch.setenv("LATDEC_MAX_RANK", "3")

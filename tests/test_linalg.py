@@ -18,6 +18,7 @@ from latdec.linalg import (
     is_positive_definite,
     is_unimodular,
     left_integer_kernel,
+    lll_integral,
     lll_reduce,
     mat_mul,
     row_span_contains,
@@ -33,6 +34,7 @@ from oracles import (
     brute_short_vectors_big,
     cramer_solve,
     fraction_short_vectors,
+    gram_schmidt,
     is_lll_reduced,
     leading_minors,
     lll_full_recompute,
@@ -128,6 +130,13 @@ class TestLll:
             assert Gred == mat_mul(mat_mul(U, as_fraction_matrix(G)), transpose(U))
             assert det(Gred) == det(G)
             assert is_lll_reduced(Gred)
+            # the integer core returns the Gram-Schmidt data of what it reduced
+            R, V, d, lam = lll_integral(G)
+            assert (R, V) == (Gred, U)
+            B, mu = gram_schmidt(R)
+            for k in range(n):
+                assert d[k + 1] == d[k] * B[k]
+                assert all(lam[k][j] == d[j + 1] * mu[k][j] for j in range(k))
 
 
 class TestLllAgainstOracle:
