@@ -1,10 +1,10 @@
 """Isometry groups of small definite lattices.
 
-Isometries are searched on LLL-reduced bases.  Row i of a solution W of
-W*G_to*W^T = G_from has norm G_from[i][i], so it comes from that norm
-shell of G_to, either sign.  With both Grams scaled by one common factor,
-each candidate keeps its integer column F_to*w^T, and a backtrack checks a
-candidate's products with the chosen prefix of rows only.
+The Grams are scaled to integers once, by one common factor, and reduced
+by lll_integral.  Row i of a solution W of W*F_to*W^T = F_from on the
+reduced Grams has norm F_from[i][i], so it comes from that norm shell of
+F_to, either sign.  Each candidate keeps its integer column F_to*w^T, and
+a backtrack checks its products with the chosen prefix of rows only.
 
 aut_group follows the stabiliser chain of Plesken and Souvignier
 (J. Symbolic Comput. 24 (1997)).  For i = n-1 down to 0 it completes the
@@ -22,19 +22,17 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InternalError, RankTooLargeError
-from .lattice import ZLattice, decompose, resolve_max_rank
+from .lattice import decompose, resolve_max_rank
 from .linalg import (
-    det,
     dot,
     enumerate_short_vectors,
+    hnf,
     hnf_basis,
     identity,
     integer_scaled,
-    inverse,
     is_integral,
-    lll_reduce,
+    lll_integral,
     mat_mul,
-    to_int_matrix,
     transpose,
     vec_mat,
 )
@@ -122,11 +120,11 @@ def _orbit(v, gens):
     return orbit
 
 
-def _in_input_basis(Ws, U_from, U_to, G_from, G_to):
-    """U_from^-1 * W * U_to for solutions W on reduced bases, each checked."""
-    V, U = to_int_matrix(inverse(U_from)), to_int_matrix(U_to)
-    _, (S_from, S_to) = integer_scaled((G_from, G_to))
-    Xs = tuple(mat_mul(mat_mul(V, W), U) for W in Ws)
+def _in_input_basis(Ws, U_from, U_to, S_from, S_to):
+    """U_from^-1 * W * U_to for solutions W on reduced bases, each checked
+    against the input Grams S_from, S_to, scaled to integers by one factor."""
+    V = hnf(U_from)[1]  # hnf(U) is (I, U^-1) for a unimodular U
+    Xs = tuple(mat_mul(mat_mul(V, W), U_to) for W in Ws)
     if any(mat_mul(mat_mul(X, S_to), transpose(X)) != S_from for X in Xs):
         raise InternalError("isometry fails its defining equation")
     return Xs
@@ -146,10 +144,9 @@ def aut_group(L, max_rank=None):
     _check_rank(n, max_rank)
     if n == 0:
         return IsometryGroup((), 1)
-    R, U = lll_reduce(L.gram)
-    _, (F,) = integer_scaled((R,))
-    cols, shells = _shells(F, F, enumerate_short_vectors(
-        R, max(R[i][i] for i in range(n)), reduced=(R, identity(n))))
+    s, (A,) = integer_scaled((L.gram,))
+    F, U, _, _ = lll_integral(A, s)
+    cols, shells = _shells(F, F, enumerate_short_vectors(F, max(F[i][i] for i in range(n))))
     base = list(identity(n))
     gens = []  # on the reduced basis; those found at level i fix b_0..b_(i-1)
     order = 1
@@ -163,7 +160,7 @@ def aut_group(L, max_rank=None):
                 gens.append(tuple(rows))
                 orbit = _orbit(base[i], gens)
         order *= len(orbit)
-    return IsometryGroup(_in_input_basis(gens, U, U, L.gram, L.gram), order)
+    return IsometryGroup(_in_input_basis(gens, U, U, A, A), order)
 
 
 def isometry_witness(L1, L2, max_rank=None):
@@ -174,23 +171,20 @@ def isometry_witness(L1, L2, max_rank=None):
         return None
     if n == 0:
         return ()
-    G1, G2 = L1.gram, L2.gram
-    if det(G1) != det(G2):
+    s, (A1, A2) = integer_scaled((L1.gram, L2.gram))
+    (F1, U1, d1, _), (F2, U2, d2, _) = (lll_integral(A, s) for A in (A1, A2))
+    if d1[n] != d2[n]:  # the determinants, under the common scale
         return None
-    R1, U1 = lll_reduce(G1)
-    R2, U2 = lll_reduce(G2)
-    bound = max(R[i][i] for R in (R1, R2) for i in range(n))
-    _, (F1, F2) = integer_scaled((R1, R2))
+    bound = max(F[i][i] for F in (F1, F2) for i in range(n))
     # one enumeration per side, at one bound: the norm lists, then the shells
-    vecs1, vecs2 = (enumerate_short_vectors(R, bound, reduced=(R, identity(n)))
-                    for R in (R1, R2))
+    vecs1, vecs2 = (enumerate_short_vectors(F, bound) for F in (F1, F2))
     if [dot(vec_mat(v, F1), v) for v in vecs1] != [dot(vec_mat(v, F2), v) for v in vecs2]:
         return None
     cols, shells = _shells(F1, F2, vecs2)
     rows = _extend(F1, cols, shells, [])
     if rows is None:
         return None
-    return _in_input_basis([tuple(rows)], U1, U2, G1, G2)[0]
+    return _in_input_basis([tuple(rows)], U1, U2, A1, A2)[0]
 
 
 def is_isometric(L1, L2, max_rank=None):
@@ -198,16 +192,16 @@ def is_isometric(L1, L2, max_rank=None):
 
 
 def _isometry_classes(blocks, max_rank=None):
-    """Partition blocks into isometry classes, first-seen representative."""
+    """Isometry classes of the blocks, each read as a lattice (.gram, .rank):
+    pairs (first-seen representative, list of indices)."""
     classes = []
     for idx, b in enumerate(blocks):
-        Lb = ZLattice(b.gram)
-        for cls in classes:
-            if cls[2].rank == Lb.rank and is_isometric(cls[2], Lb, max_rank):
-                cls[1].append(idx)
+        for rep, idxs in classes:
+            if rep.rank == b.rank and is_isometric(rep, b, max_rank):
+                idxs.append(idx)
                 break
         else:
-            classes.append((b, [idx], Lb))
+            classes.append((b, [idx]))
     return classes
 
 
@@ -218,9 +212,7 @@ def grouped_decomposition(L, max_rank=None):
     the canonically smallest and serves as the representative.
     """
     D = decompose(L, max_rank)
-    return tuple(
-        (cls[0], len(cls[1])) for cls in _isometry_classes(D.blocks, max_rank)
-    )
+    return tuple((rep, len(idxs)) for rep, idxs in _isometry_classes(D.blocks, max_rank))
 
 
 def _perm_group_order(perms, degree):
@@ -272,14 +264,14 @@ def _factorization(L, A, max_rank=None):
     """
     D = decompose(L, max_rank)
     classes = _isometry_classes(D.blocks, max_rank)
-    grouped = tuple((cls[0], len(cls[1])) for cls in classes)
+    grouped = tuple((rep, len(idxs)) for rep, idxs in classes)
     _, (S,) = integer_scaled((L.gram,))
     for X in A.generators:
         if (len(X) != L.rank or any(len(r) != L.rank for r in X)
                 or not is_integral(X) or mat_mul(mat_mul(X, S), transpose(X)) != S):
             return grouped, False
     expected = 1
-    for _, idxs, rep in classes:
+    for rep, idxs in classes:
         expected *= aut_group(rep, max_rank).order ** len(idxs)
         expected *= math.factorial(len(idxs))
     if expected != A.order:
@@ -295,11 +287,11 @@ def _factorization(L, A, max_rank=None):
             if img not in span_index:
                 return grouped, False
             mapping.append(span_index[img])
-        for c, (_, idxs, _rep) in enumerate(classes):
+        for c, (_, idxs) in enumerate(classes):
             images = [mapping[i] for i in idxs]
             if sorted(images) != sorted(idxs):
                 return grouped, False
             induced[c].add(tuple(idxs.index(m) for m in images))
     ok = all(_perm_group_order(induced[c], len(idxs)) == math.factorial(len(idxs))
-             for c, (_, idxs, _rep) in enumerate(classes))
+             for c, (_, idxs) in enumerate(classes))
     return grouped, ok

@@ -36,10 +36,10 @@ from .linalg import (
     as_fraction_matrix,
     dot,
     gram_value,
+    hnf,
     hnf_basis,
     identity,
     integer_scaled,
-    inverse,
     is_symmetric,
     is_unimodular,
     lll_integral,
@@ -47,7 +47,6 @@ from .linalg import (
     mat_vec,
     first_nonpositive_minor,
     sphere_point,
-    to_int_matrix,
     transpose,
     vec_mat,
 )
@@ -91,10 +90,17 @@ class ZLattice:
         return len(self.gram)
 
     def inner(self, u, v):
-        return gram_value(self.gram, u, v)
+        return gram_value(self.gram, _checked(self, u), _checked(self, v))
 
     def norm(self, v):
-        return gram_value(self.gram, v, v)
+        return self.inner(v, v)
+
+
+def _checked(L, v):
+    """v itself, once its length is the rank of L."""
+    if len(v) != L.rank:
+        raise InvalidInputError("vector of length %d on a lattice of rank %d" % (len(v), L.rank))
+    return v
 
 
 @dataclass(frozen=True)
@@ -128,9 +134,11 @@ def restrict_gram(gram, basis_rows, scale=None):
 def is_primitive(L, x):
     """Whether x admits no splitting x = y + z into nonzero orthogonal parts:
     its Thales sphere, searched on the LLL-reduced basis, holds only +-x."""
+    if not all(isinstance(c, int) for c in _checked(L, x)):
+        raise InvalidInputError("vector %r: coordinates must be ints" % (tuple(x),))
     s, (A,) = integer_scaled((L.gram,))
     R, U, d, lam = lll_integral(A, s)
-    a = vec_mat(x, to_int_matrix(inverse(U)))
+    a = vec_mat(x, hnf(U)[1])  # hnf(U) is (I, U^-1) for a unimodular U
     return sphere_point(d, lam, a, dot(a, mat_vec(R, a)), 0, DECOMPOSE_MAX_NODES)[0] is None
 
 

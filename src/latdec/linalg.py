@@ -452,20 +452,18 @@ def _fincke_pohst(d, lam, U, num, den, out=None, residues=None, avoid=(), nodes=
     return found, nodes
 
 
-def enumerate_short_vectors(G, bound, reduced=None):
+def enumerate_short_vectors(G, bound):
     """All nonzero integer vectors with 0 < v*G*v^T <= bound, one per +- pair,
     sorted by (norm, lexicographic order), first nonzero coordinate positive.
-    G is rational, symmetric and positive definite; reduced is the (G', U)
-    of lll_reduce(G) when the caller already has it."""
+    G is rational, symmetric and positive definite."""
     n = len(G)
     if not is_symmetric(G):
         raise InvalidInputError("gram: matrix is not symmetric")
     P, Q = Fraction(bound).as_integer_ratio()
     if P <= 0 or not n:
         return ()
-    Gred, U = reduced or lll_reduce(G)
-    s, (A,) = integer_scaled((Gred,))
-    d, lam = _integral_gso(A, s)
+    s, (A,) = integer_scaled((G,))
+    _, U, d, lam = lll_integral(A, s)
     found = []  # (minus the budget left, canonical vector)
     _fincke_pohst(d, lam, U, s * P, Q, found)
     found.sort()

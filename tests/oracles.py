@@ -366,7 +366,7 @@ def ball_pipeline(gram, max_rank=None):
     gram = as_fraction_matrix(gram)
     reduced = lll_reduce(gram)
     bound = max((reduced[0][i][i] for i in range(n)), default=0)
-    shorts = enumerate_short_vectors(gram, bound, reduced)
+    shorts = enumerate_short_vectors(gram, bound)
     _, (G,) = integer_scaled((gram,))
     done = []  # (y, f(y, y)) for the vectors y before x
     cols = {}  # the primitives, with their columns G x^T

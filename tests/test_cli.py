@@ -21,6 +21,13 @@ from oracles import random_unimodular
 
 I3 = {"gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 A2 = {"gram": [[2, -1], [-1, 2]]}
+# Z^6 + <12> under a unimodular change of basis
+Z6_PLUS_12 = {"gram": [[12, -12, 0, 0, 12, 12, 0], [-12, 15, 0, 1, -13, -14, 0],
+                       [0, 0, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0, 0],
+                       [12, -13, 0, 0, 13, 13, 0], [12, -14, 0, 0, 13, 15, 0],
+                       [0, 0, 0, 0, 0, 0, 1]]}
+# diag(1/2, 1/3) + A2
+RATIONAL_A2 = {"gram": [["1/2", 0, 0, 0], [0, "1/3", 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]]}
 ELLIPTIC = {"g": 1, "J": [["0", "-1"], ["1", "0"]], "psi": [[0, 1], [-1, 0]]}
 PRODUCT_HODGE = {
     "g": 2,
@@ -381,16 +388,239 @@ class TestAutCommand:
         assert cli("aut", A2) == cli("aut", A2, "--verify")
 
     def test_long_block_verifies(self, cli):
-        # Z^6 + <12> under a unimodular change of basis
-        gram = {"gram": [[12, -12, 0, 0, 12, 12, 0], [-12, 15, 0, 1, -13, -14, 0],
-                         [0, 0, 1, 0, 0, 0, 0], [0, 1, 0, 1, 0, 0, 0],
-                         [12, -13, 0, 0, 13, 13, 0], [12, -14, 0, 0, 13, 15, 0],
-                         [0, 0, 0, 0, 0, 0, 1]]}
-        code, out, _ = cli("aut", gram, "--verify")
+        code, out, _ = cli("aut", Z6_PLUS_12, "--verify")
         assert code == 0
         report = json.loads(out)
         assert report["order"] == 92_160
         assert report["factorization_ok"] is True
+
+
+# (input, order, generators, classes, --pretty stdout) of `aut`.  The
+# generators depend on the search order, so a change to it shows here.
+AUT_PINS = [
+    (A2, 12, [
+        [[1, 0],
+         [-1, -1]],
+        [[0, 1],
+         [1, 0]],
+        [[0, -1],
+         [-1, 0]],
+    ], [{"e": 1, "block_gram": [["2", "-1"], ["-1", "2"]]}],
+     """\
+order: 12
+factorization check: ok
+isometry classes: 1
+class 1: multiplicity 1
+  block gram:
+     2 -1
+    -1  2
+generators: 3
+generator 1:
+     1  0
+    -1 -1
+generator 2:
+    0 1
+    1 0
+generator 3:
+     0 -1
+    -1  0
+"""),
+    (Z6_PLUS_12, 92160, [
+        [[-1, 0, 0, 0, 0, 0, 0],
+         [2, 1, 0, 0, 0, 0, 0],
+         [0, 0, 1, 0, 0, 0, 0],
+         [0, 0, 0, 1, 0, 0, 0],
+         [-2, 0, 0, 0, 1, 0, 0],
+         [-2, 0, 0, 0, 0, 1, 0],
+         [0, 0, 0, 0, 0, 0, 1]],
+        [[1, 0, 0, 0, 0, 0, 0],
+         [0, 1, 0, 0, 0, 0, 0],
+         [0, 0, 1, 0, 0, 0, 0],
+         [0, 0, 0, 1, 0, 0, 0],
+         [0, 0, 0, 0, 1, 0, 0],
+         [0, 0, 0, 0, 0, 1, 0],
+         [0, 0, 0, 0, 0, 0, -1]],
+        [[1, 0, 0, 0, 0, 0, 0],
+         [0, 1, 0, 0, 0, 0, 0],
+         [0, 0, 1, 0, 0, 0, 0],
+         [0, 0, 0, 1, 0, 0, 0],
+         [0, 0, 0, 0, 1, 0, 0],
+         [0, -1, 0, 1, 0, 0, 1],
+         [0, 1, 0, -1, 0, 1, 0]],
+        [[1, 0, 0, 0, 0, 0, 0],
+         [0, 0, 0, 1, -1, 0, 1],
+         [0, 0, 1, 0, 0, 0, 0],
+         [0, 0, 0, 1, 0, 0, 0],
+         [0, 0, 0, 0, 1, 0, 0],
+         [0, 1, 0, -1, 1, 1, -1],
+         [0, 1, 0, -1, 1, 0, 0]],
+        [[1, 0, 0, 0, 0, 0, 0],
+         [-1, 1, 0, 0, 0, 1, -1],
+         [0, 0, 1, 0, 0, 0, 0],
+         [0, 0, 0, 1, 0, 0, 0],
+         [1, 0, 0, 0, 0, 0, 1],
+         [1, 0, 0, 0, 1, -1, 1],
+         [-1, 0, 0, 0, 1, 0, 0]],
+        [[1, 0, 0, 0, 0, 0, 0],
+         [-1, 0, 0, 0, 1, -1, 1],
+         [0, 0, 1, 0, 0, 0, 0],
+         [0, 0, 0, 0, 0, 0, 1],
+         [1, 1, 0, -1, 0, 1, 0],
+         [0, 0, 0, 0, 0, 1, 0],
+         [0, 0, 0, 1, 0, 0, 0]],
+        [[1, 0, 0, 0, 0, 0, 0],
+         [-2, 0, 0, 0, 0, 1, 0],
+         [0, 0, 0, 0, 0, 0, 1],
+         [0, 1, 0, -1, 0, 1, 0],
+         [1, 1, 0, -1, 1, 0, 0],
+         [2, 1, 0, 0, 0, 0, 0],
+         [0, 0, 1, 0, 0, 0, 0]],
+    ], [{"e": 6, "block_gram": [["1"]]}, {"e": 1, "block_gram": [["12"]]}],
+     """\
+order: 92160
+factorization check: ok
+isometry classes: 2
+class 1: multiplicity 6
+  block gram:
+    1
+class 2: multiplicity 1
+  block gram:
+    12
+generators: 7
+generator 1:
+    -1 0 0 0 0 0 0
+     2 1 0 0 0 0 0
+     0 0 1 0 0 0 0
+     0 0 0 1 0 0 0
+    -2 0 0 0 1 0 0
+    -2 0 0 0 0 1 0
+     0 0 0 0 0 0 1
+generator 2:
+    1 0 0 0 0 0  0
+    0 1 0 0 0 0  0
+    0 0 1 0 0 0  0
+    0 0 0 1 0 0  0
+    0 0 0 0 1 0  0
+    0 0 0 0 0 1  0
+    0 0 0 0 0 0 -1
+generator 3:
+    1  0 0  0 0 0 0
+    0  1 0  0 0 0 0
+    0  0 1  0 0 0 0
+    0  0 0  1 0 0 0
+    0  0 0  0 1 0 0
+    0 -1 0  1 0 0 1
+    0  1 0 -1 0 1 0
+generator 4:
+    1 0 0  0  0 0  0
+    0 0 0  1 -1 0  1
+    0 0 1  0  0 0  0
+    0 0 0  1  0 0  0
+    0 0 0  0  1 0  0
+    0 1 0 -1  1 1 -1
+    0 1 0 -1  1 0  0
+generator 5:
+     1 0 0 0 0  0  0
+    -1 1 0 0 0  1 -1
+     0 0 1 0 0  0  0
+     0 0 0 1 0  0  0
+     1 0 0 0 0  0  1
+     1 0 0 0 1 -1  1
+    -1 0 0 0 1  0  0
+generator 6:
+     1 0 0  0 0  0 0
+    -1 0 0  0 1 -1 1
+     0 0 1  0 0  0 0
+     0 0 0  0 0  0 1
+     1 1 0 -1 0  1 0
+     0 0 0  0 0  1 0
+     0 0 0  1 0  0 0
+generator 7:
+     1 0 0  0 0 0 0
+    -2 0 0  0 0 1 0
+     0 0 0  0 0 0 1
+     0 1 0 -1 0 1 0
+     1 1 0 -1 1 0 0
+     2 1 0  0 0 0 0
+     0 0 1  0 0 0 0
+"""),
+    (RATIONAL_A2, 48, [
+        [[1, 0, 0, 0],
+         [0, 1, 0, 0],
+         [0, 0, 1, 0],
+         [0, 0, -1, -1]],
+        [[1, 0, 0, 0],
+         [0, 1, 0, 0],
+         [0, 0, 0, 1],
+         [0, 0, 1, 0]],
+        [[1, 0, 0, 0],
+         [0, 1, 0, 0],
+         [0, 0, 0, -1],
+         [0, 0, -1, 0]],
+        [[-1, 0, 0, 0],
+         [0, 1, 0, 0],
+         [0, 0, 0, 1],
+         [0, 0, 1, 0]],
+        [[1, 0, 0, 0],
+         [0, -1, 0, 0],
+         [0, 0, 0, 1],
+         [0, 0, 1, 0]],
+    ], [{"e": 1, "block_gram": [["1/3"]]}, {"e": 1, "block_gram": [["1/2"]]},
+        {"e": 1, "block_gram": [["2", "-1"], ["-1", "2"]]}],
+     """\
+order: 48
+factorization check: ok
+isometry classes: 3
+class 1: multiplicity 1
+  block gram:
+    1/3
+class 2: multiplicity 1
+  block gram:
+    1/2
+class 3: multiplicity 1
+  block gram:
+     2 -1
+    -1  2
+generators: 5
+generator 1:
+    1 0  0  0
+    0 1  0  0
+    0 0  1  0
+    0 0 -1 -1
+generator 2:
+    1 0 0 0
+    0 1 0 0
+    0 0 0 1
+    0 0 1 0
+generator 3:
+    1 0  0  0
+    0 1  0  0
+    0 0  0 -1
+    0 0 -1  0
+generator 4:
+    -1 0 0 0
+     0 1 0 0
+     0 0 0 1
+     0 0 1 0
+generator 5:
+    1  0 0 0
+    0 -1 0 0
+    0  0 0 1
+    0  0 1 0
+"""),
+]
+
+
+class TestAutPinnedOutput:
+    """The exact stdout of `aut`, JSON and --pretty, on three inputs."""
+
+    @pytest.mark.parametrize("payload, order, generators, classes, pretty", AUT_PINS,
+                             ids=["A2", "Z6+<12>", "diag(1/2,1/3)+A2"])
+    def test_exact_stdout(self, cli, payload, order, generators, classes, pretty):
+        expected = {"order": order, "generators": generators,
+                    "factorization_ok": True, "classes": classes}
+        assert cli("aut", payload) == (0, json.dumps(expected, indent=2) + "\n", "")
+        assert cli("aut", payload, "--pretty") == (0, pretty, "")
 
 
 class TestHermitianCommand:

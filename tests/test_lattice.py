@@ -117,6 +117,16 @@ class TestZLattice:
         assert L.inner((1, 0), (0, 1)) == 1
         assert L.norm((1, 1)) == 6
 
+    def test_inner_and_norm_reject_a_wrong_length(self):
+        L = ZLattice(A2)
+        for v in ((1,), (1, 0, 5)):
+            with pytest.raises(InvalidInputError, match="length %d" % len(v)):
+                L.norm(v)
+            with pytest.raises(InvalidInputError, match="rank 2"):
+                L.inner((1, 0), v)
+            with pytest.raises(InvalidInputError, match="rank 2"):
+                L.inner(v, (1, 0))
+
 
 class TestIsPrimitive:
     def test_unit_vector_in_z2(self):
@@ -134,6 +144,17 @@ class TestIsPrimitive:
     def test_vector_longer_than_the_basis(self):
         # norm 6; no splitting exists because A2 has no vectors of norm 4
         assert is_primitive(ZLattice(A2), (1, 1)) is True
+
+    def test_rejects_a_wrong_length(self):
+        for x in ((1,), (1, 0, 5), ()):
+            message = "length %d on a lattice of rank 2" % len(x)
+            with pytest.raises(InvalidInputError, match=message):
+                is_primitive(ZLattice(A2), x)
+
+    def test_rejects_a_non_integer_coordinate(self):
+        for x in ((Fraction(1, 2), 0), (1, Fraction(2)), (1.0, 0)):
+            with pytest.raises(InvalidInputError, match="coordinates must be ints"):
+                is_primitive(ZLattice(A2), x)
 
     def test_against_fraction_witness_search(self):
         # random integer and rational Grams; each ball vector checked

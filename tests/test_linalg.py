@@ -264,9 +264,6 @@ class TestEnumerationAgainstOracle:
             for bound in bounds:
                 expected = fraction_short_vectors(G, bound)
                 assert enumerate_short_vectors(G, bound) == expected
-                assert enumerate_short_vectors(G, bound, lll_reduce(G)) == expected
-                # any basis may stand in for the reduction, the input's own too
-                assert enumerate_short_vectors(G, bound, (G, identity(len(G)))) == expected
 
     def test_same_tuples_as_box_search(self):
         for G, *bounds in self.cases(43):
